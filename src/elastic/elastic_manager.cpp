@@ -1,22 +1,12 @@
 #include "elastic/elastic_manager.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 
 #include "common/check.hpp"
+#include "common/spec_lex.hpp"
 
 namespace esg::elastic {
-
-namespace {
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
-}  // namespace
 
 ElasticManager::ElasticManager(sim::Simulator& sim, cluster::Cluster& cluster,
                                ElasticSpec spec, RngFactory rng,
@@ -187,7 +177,7 @@ void ElasticManager::scale_in(TimeMs now) {
       rec->instant(obs::InstantKind::kScaleIn, "scale_in",
                    obs::controller_track(), now,
                    {{"invoker", std::to_string(inv.id().get())},
-                    {"idle_ms", fmt(now - last_busy_[i])}});
+                    {"idle_ms", lex::fmt_g(now - last_busy_[i])}});
       rec->instant(obs::InstantKind::kNodeRetired, "node_retired",
                    obs::controller_track(), now,
                    {{"invoker", std::to_string(inv.id().get())}});

@@ -1,55 +1,8 @@
 #include "elastic/elastic_spec.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
-#include <map>
-#include <stdexcept>
+#include "common/spec_lex.hpp"
 
 namespace esg::elastic {
-
-namespace {
-
-[[noreturn]] void bad_spec(std::string_view clause, const std::string& why) {
-  throw std::invalid_argument("elastic spec '" + std::string(clause) +
-                              "': " + why);
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) s.remove_suffix(1);
-  return s;
-}
-
-double parse_double(std::string_view clause, std::string_view key,
-                    std::string_view v) {
-  double out = 0.0;
-  const auto* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(out)) {
-    bad_spec(clause, "malformed number for '" + std::string(key) + "': '" +
-                         std::string(v) + "'");
-  }
-  return out;
-}
-
-std::size_t parse_count(std::string_view clause, std::string_view key,
-                        std::string_view v) {
-  const double d = parse_double(clause, key, v);
-  if (d < 0.0 || d != std::floor(d) || d >= 4294967295.0) {
-    bad_spec(clause,
-             std::string(key) + " must be a small non-negative integer");
-  }
-  return static_cast<std::size_t>(d);
-}
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
-}  // namespace
 
 std::string_view to_string(ElasticPolicy policy) {
   switch (policy) {
@@ -66,13 +19,11 @@ std::string_view to_string(ElasticPolicy policy) {
 }
 
 ElasticSpec parse_elastic_spec(std::string_view text) {
-  const std::string_view clause = trim(text);
+  const lex::Where at{"elastic-spec", lex::trim(text)};
   ElasticSpec spec;
-  if (clause.empty() || clause == "none") return spec;
+  if (at.clause.empty() || at.clause == "none") return spec;
 
-  const std::size_t colon = clause.find(':');
-  const std::string_view policy =
-      trim(colon == std::string_view::npos ? clause : clause.substr(0, colon));
+  const auto [policy, body] = lex::split_first(at.clause, ':');
   if (policy == "queue") {
     spec.policy = ElasticPolicy::kQueue;
   } else if (policy == "rate") {
@@ -80,76 +31,29 @@ ElasticSpec parse_elastic_spec(std::string_view text) {
   } else if (policy == "forecast") {
     spec.policy = ElasticPolicy::kForecast;
   } else {
-    bad_spec(clause, "unknown policy '" + std::string(policy) +
-                         "' (queue|rate|forecast|none)");
+    at.fail("unknown policy '" + std::string(policy) +
+            "' (queue|rate|forecast|none)");
   }
 
-  // key=value list after the colon; duplicates rejected.
-  std::map<std::string, std::string, std::less<>> kv;
-  if (colon != std::string_view::npos) {
-    const std::string_view body = clause.substr(colon + 1);
-    std::size_t pos = 0;
-    while (pos <= body.size()) {
-      const std::size_t comma = std::min(body.find(',', pos), body.size());
-      const std::string_view pair = trim(body.substr(pos, comma - pos));
-      pos = comma + 1;
-      if (pair.empty()) continue;
-      const std::size_t eq = pair.find('=');
-      if (eq == std::string_view::npos || eq == 0 || eq + 1 == pair.size()) {
-        bad_spec(clause, "expected key=value, got '" + std::string(pair) + "'");
-      }
-      const auto [_, inserted] =
-          kv.emplace(trim(pair.substr(0, eq)), trim(pair.substr(eq + 1)));
-      if (!inserted) {
-        bad_spec(clause, "duplicate key '" +
-                             std::string(trim(pair.substr(0, eq))) + "'");
-      }
-    }
+  lex::Fields kv(at, body.value_or(""));
+  if (auto f = kv.take("min")) spec.min_nodes = f->integer(0, lex::kMaxId);
+  if (auto f = kv.take("max")) spec.max_nodes = f->integer(0, lex::kMaxId);
+  if (auto f = kv.take("out")) spec.out_threshold = f->number(lex::kPositive);
+  if (auto f = kv.take("step")) spec.out_step = f->integer(1, lex::kMaxId);
+  if (auto f = kv.take("idle-ms")) spec.idle_ms = f->number(lex::kNonNegative);
+  if (auto f = kv.take("eval-ms")) spec.eval_ms = f->number(lex::kPositive);
+  if (auto f = kv.take("provision-ms")) {
+    spec.provision_ms = f->number(lex::kNonNegative);
   }
-
-  for (const auto& [key, value] : kv) {
-    if (key == "min") {
-      spec.min_nodes = parse_count(clause, key, value);
-    } else if (key == "max") {
-      spec.max_nodes = parse_count(clause, key, value);
-    } else if (key == "out") {
-      spec.out_threshold = parse_double(clause, key, value);
-      if (spec.out_threshold <= 0.0) bad_spec(clause, "out must be > 0");
-    } else if (key == "step") {
-      spec.out_step = parse_count(clause, key, value);
-      if (spec.out_step == 0) bad_spec(clause, "step must be >= 1");
-    } else if (key == "idle-ms") {
-      spec.idle_ms = parse_double(clause, key, value);
-      if (spec.idle_ms < 0.0) bad_spec(clause, "idle-ms must be >= 0");
-    } else if (key == "eval-ms") {
-      spec.eval_ms = parse_double(clause, key, value);
-      if (spec.eval_ms <= 0.0) bad_spec(clause, "eval-ms must be > 0");
-    } else if (key == "provision-ms") {
-      spec.provision_ms = parse_double(clause, key, value);
-      if (spec.provision_ms < 0.0) bad_spec(clause, "provision-ms must be >= 0");
-    } else if (key == "alpha") {
-      spec.rate_alpha = parse_double(clause, key, value);
-      if (spec.rate_alpha <= 0.0 || spec.rate_alpha > 1.0) {
-        bad_spec(clause, "alpha must be in (0, 1]");
-      }
-    } else if (key == "shed") {
-      if (value == "on" || value == "true" || value == "1") {
-        spec.shed = true;
-      } else if (value == "off" || value == "false" || value == "0") {
-        spec.shed = false;
-      } else {
-        bad_spec(clause, "malformed boolean for 'shed': '" + value + "' (on|off)");
-      }
-    } else if (key == "shed-margin") {
-      spec.shed_margin = parse_double(clause, key, value);
-      if (spec.shed_margin <= 0.0) bad_spec(clause, "shed-margin must be > 0");
-    } else {
-      bad_spec(clause, "unknown key '" + key + "'");
-    }
+  if (auto f = kv.take("alpha")) spec.rate_alpha = f->number(lex::kFraction);
+  if (auto f = kv.take("shed")) spec.shed = f->on_off();
+  if (auto f = kv.take("shed-margin")) {
+    spec.shed_margin = f->number(lex::kPositive);
   }
+  kv.finish();
 
   if (spec.max_nodes > 0 && spec.min_nodes > spec.max_nodes) {
-    bad_spec(clause, "min must be <= max");
+    at.fail("min must be <= max");
   }
   return spec;
 }
@@ -159,17 +63,17 @@ std::string to_string(const ElasticSpec& spec) {
   std::string out(to_string(spec.policy));
   out += ":min=" + std::to_string(spec.min_nodes);
   out += ",max=" + std::to_string(spec.max_nodes);
-  out += ",out=" + fmt(spec.out_threshold);
+  out += ",out=" + lex::fmt_g(spec.out_threshold);
   out += ",step=" + std::to_string(spec.out_step);
-  out += ",idle-ms=" + fmt(spec.idle_ms);
-  out += ",eval-ms=" + fmt(spec.eval_ms);
-  out += ",provision-ms=" + fmt(spec.provision_ms);
+  out += ",idle-ms=" + lex::fmt_g(spec.idle_ms);
+  out += ",eval-ms=" + lex::fmt_g(spec.eval_ms);
+  out += ",provision-ms=" + lex::fmt_g(spec.provision_ms);
   if (spec.policy == ElasticPolicy::kRate) {
-    out += ",alpha=" + fmt(spec.rate_alpha);
+    out += ",alpha=" + lex::fmt_g(spec.rate_alpha);
   }
   out += ",shed=";
   out += spec.shed ? "on" : "off";
-  if (spec.shed) out += ",shed-margin=" + fmt(spec.shed_margin);
+  if (spec.shed) out += ",shed-margin=" + lex::fmt_g(spec.shed_margin);
   return out;
 }
 

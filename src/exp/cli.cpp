@@ -1,11 +1,11 @@
 #include "exp/cli.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 
+#include "common/spec_lex.hpp"
 #include "elastic/elastic_spec.hpp"
 #include "fault/fault_spec.hpp"
 #include "forecast/forecast_spec.hpp"
@@ -32,12 +32,7 @@ SchedulerKind parse_scheduler(std::string_view v) {
 /// Duplicates and empty entries are errors.
 std::vector<SchedulerKind> parse_scheduler_list(std::string_view v) {
   std::vector<SchedulerKind> out;
-  std::size_t pos = 0;
-  for (;;) {
-    const std::size_t comma = v.find(',', pos);
-    const std::string_view item =
-        comma == std::string_view::npos ? v.substr(pos)
-                                        : v.substr(pos, comma - pos);
+  for (const std::string_view item : lex::split(v, ',')) {
     if (item.empty()) {
       throw std::invalid_argument(
           "--scheduler list must not have empty entries");
@@ -48,8 +43,6 @@ std::vector<SchedulerKind> parse_scheduler_list(std::string_view v) {
                                   std::string(item) + "'");
     }
     out.push_back(kind);
-    if (comma == std::string_view::npos) break;
-    pos = comma + 1;
   }
   return out;
 }
@@ -70,84 +63,27 @@ workload::SloSetting parse_slo(std::string_view v) {
                               "' (strict|moderate|relaxed)");
 }
 
-double parse_number(std::string_view key, std::string_view v) {
-  double out = 0.0;
-  const auto* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  // from_chars happily parses "nan" and "inf"; neither is a usable knob
-  // value anywhere in the CLI, and NaN in particular slips through every
-  // `< 0` range check below.
-  if (ec != std::errc{} || ptr != end || !std::isfinite(out)) {
-    throw std::invalid_argument("malformed value for " + std::string(key) +
-                                ": '" + std::string(v) + "'");
-  }
-  return out;
-}
-
-/// For time-like knobs: finite and >= 0 (parse_number already rejects
-/// NaN/inf, whose casts to integers would be undefined behaviour anyway).
-double parse_nonnegative(std::string_view key, std::string_view v) {
-  const double d = parse_number(key, v);
-  if (d < 0.0) {
-    throw std::invalid_argument(std::string(key) + " must be non-negative");
-  }
-  return d;
-}
-
-std::uint64_t parse_unsigned(std::string_view key, std::string_view v) {
-  return static_cast<std::uint64_t>(parse_nonnegative(key, v));
-}
-
-bool parse_bool(std::string_view key, std::string_view v) {
-  if (v == "on" || v == "true" || v == "1") return true;
-  if (v == "off" || v == "false" || v == "0") return false;
-  throw std::invalid_argument("malformed boolean for " + std::string(key) +
-                              ": '" + std::string(v) + "' (on|off)");
-}
-
 /// --seeds accepts either a replica count (`3` -> seeds 42,43,44) or an
 /// explicit comma-separated list (`7,8,9`; a trailing comma marks a
 /// single-element list: `7,`). Empty lists and duplicate seeds are errors.
 std::vector<std::uint64_t> parse_seeds(std::string_view v) {
-  const auto parse_one = [](std::string_view item) {
-    std::uint64_t out = 0;
-    const auto* end = item.data() + item.size();
-    const auto [ptr, ec] = std::from_chars(item.data(), end, out);
-    if (ec != std::errc{} || ptr != end) {
-      throw std::invalid_argument("malformed seed '" + std::string(item) +
-                                  "' in --seeds (non-negative integer)");
-    }
-    return out;
-  };
-
+  std::vector<std::uint64_t> seeds;
   if (v.find(',') == std::string_view::npos) {
-    const std::size_t count = static_cast<std::size_t>(
-        parse_unsigned("--seeds", v));
-    if (count == 0) {
-      throw std::invalid_argument("--seeds must be positive");
-    }
-    std::vector<std::uint64_t> seeds;
-    for (std::size_t i = 0; i < count; ++i) seeds.push_back(42 + i);
+    const std::uint64_t count =
+        lex::Field{"--seeds", v}.integer(1, lex::kMaxId);
+    for (std::uint64_t i = 0; i < count; ++i) seeds.push_back(42 + i);
     return seeds;
   }
 
-  std::vector<std::uint64_t> seeds;
-  std::size_t pos = 0;
-  while (pos <= v.size()) {
-    const std::size_t comma = std::min(v.find(',', pos), v.size());
-    const std::string_view item = v.substr(pos, comma - pos);
-    const bool last = comma == v.size();
-    pos = comma + 1;
+  std::vector<std::string_view> items = lex::split(v, ',');
+  if (items.back().empty()) items.pop_back();  // the list marker in `7,`
+  for (const std::string_view item : items) {
     if (item.empty()) {
-      // A single trailing comma is the explicit-list marker; any other
-      // empty element means a malformed (or entirely empty) list.
-      if (last && !seeds.empty()) break;
-      throw std::invalid_argument("--seeds list must not have empty entries");
+      throw std::invalid_argument(
+          "--seeds list must not have empty entries");
     }
-    seeds.push_back(parse_one(item));
-  }
-  if (seeds.empty()) {
-    throw std::invalid_argument("--seeds list must not be empty");
+    seeds.push_back(lex::Field{"--seeds entry", item}.integer(
+        0, std::numeric_limits<std::uint64_t>::max()));
   }
   std::vector<std::uint64_t> sorted = seeds;
   std::sort(sorted.begin(), sorted.end());
@@ -159,94 +95,48 @@ std::vector<std::uint64_t> parse_seeds(std::string_view v) {
   return seeds;
 }
 
-workload::BurstProfile parse_burst_profile(std::string_view body) {
-  workload::BurstProfile profile;
-  std::size_t pos = 0;
-  while (pos <= body.size()) {
-    const std::size_t comma = std::min(body.find(',', pos), body.size());
-    const std::string_view pair = body.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (pair.empty()) continue;
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::invalid_argument("--arrivals bursty: expected key=value, got '" +
-                                  std::string(pair) + "'");
-    }
-    const std::string_view k = pair.substr(0, eq);
-    const std::string_view val = pair.substr(eq + 1);
-    if (k == "calm") {
-      profile.calm = parse_load(val);
-    } else if (k == "burst") {
-      profile.burst = parse_load(val);
-    } else if (k == "calm-ms") {
-      profile.mean_calm_ms = parse_number("--arrivals calm-ms", val);
-    } else if (k == "burst-ms") {
-      profile.mean_burst_ms = parse_number("--arrivals burst-ms", val);
-    } else {
-      throw std::invalid_argument("--arrivals bursty: unknown key '" +
-                                  std::string(k) +
-                                  "' (calm|burst|calm-ms|burst-ms)");
-    }
-  }
-  if (profile.mean_calm_ms <= 0.0 || profile.mean_burst_ms <= 0.0) {
-    throw std::invalid_argument(
-        "--arrivals bursty: phase lengths must be positive");
-  }
-  return profile;
-}
-
-/// `synthetic` | `bursty[:k=v,...]` | `trace:@file[,rate-scale=..,time-scale=..]`.
+/// `synthetic` | `bursty[:k=v,...]` |
+/// `trace:@file[,rate-scale=..,time-scale=..]`.
 /// Trace files are loaded (and validated) eagerly so a bad trace fails at
 /// parse time, and replicas share one parsed trace.
 ArrivalConfig parse_arrivals(std::string_view v) {
+  const lex::Where at{"--arrivals", v};
   ArrivalConfig config;
-  if (v == "synthetic") return config;
-  if (v == "bursty" || v.starts_with("bursty:")) {
+  const auto [mode, body] = lex::split_first(v, ':');
+  if (mode == "synthetic" && !body) return config;
+  if (mode == "bursty") {
     config.mode = ArrivalMode::kBursty;
-    if (v.starts_with("bursty:")) {
-      config.burst = parse_burst_profile(v.substr(7));
+    workload::BurstProfile& burst = config.burst;
+    lex::Fields kv(at, body.value_or(""));
+    if (auto f = kv.take("calm")) burst.calm = parse_load(f->value);
+    if (auto f = kv.take("burst")) burst.burst = parse_load(f->value);
+    if (auto f = kv.take("calm-ms")) {
+      burst.mean_calm_ms = f->number(lex::kPositive);
     }
+    if (auto f = kv.take("burst-ms")) {
+      burst.mean_burst_ms = f->number(lex::kPositive);
+    }
+    kv.finish();
     return config;
   }
-  if (v.starts_with("trace:")) {
+  if (mode == "trace" && body) {
     config.mode = ArrivalMode::kTrace;
-    std::string_view body = v.substr(6);
-    const std::size_t comma = body.find(',');
-    const std::string_view file = body.substr(0, comma);
+    const std::size_t comma = body->find(',');
+    const std::string_view file = body->substr(0, comma);
     if (!file.starts_with("@") || file.size() == 1) {
-      throw std::invalid_argument(
-          "--arrivals trace: expected 'trace:@<file>', got '" + std::string(v) +
-          "'");
+      at.fail("expected 'trace:@<file>'");
     }
     config.trace_path = std::string(file.substr(1));
-    std::size_t pos = comma == std::string_view::npos ? body.size() + 1
-                                                      : comma + 1;
-    while (pos <= body.size()) {
-      const std::size_t next = std::min(body.find(',', pos), body.size());
-      const std::string_view pair = body.substr(pos, next - pos);
-      pos = next + 1;
-      if (pair.empty()) continue;
-      const std::size_t eq = pair.find('=');
-      if (eq == std::string_view::npos) {
-        throw std::invalid_argument(
-            "--arrivals trace: expected key=value, got '" + std::string(pair) +
-            "'");
-      }
-      const std::string_view k = pair.substr(0, eq);
-      const std::string_view val = pair.substr(eq + 1);
-      if (k == "rate-scale") {
-        config.replay.rate_scale = parse_nonnegative("--arrivals rate-scale", val);
-      } else if (k == "time-scale") {
-        config.replay.time_scale = parse_number("--arrivals time-scale", val);
-        if (config.replay.time_scale <= 0.0) {
-          throw std::invalid_argument("--arrivals time-scale must be positive");
-        }
-      } else {
-        throw std::invalid_argument("--arrivals trace: unknown key '" +
-                                    std::string(k) +
-                                    "' (rate-scale|time-scale)");
-      }
+    lex::Fields kv(at, comma == std::string_view::npos
+                           ? std::string_view{}
+                           : body->substr(comma + 1));
+    if (auto f = kv.take("rate-scale")) {
+      config.replay.rate_scale = f->number(lex::kNonNegative);
     }
+    if (auto f = kv.take("time-scale")) {
+      config.replay.time_scale = f->number(lex::kPositive);
+    }
+    kv.finish();
     config.trace = std::make_shared<const trace::WorkloadTrace>(
         trace::load_workload_trace(config.trace_path));
     return config;
@@ -353,8 +243,8 @@ usage: esg_sim [flags]
                          (min == max, idle-ms=0, shed=off) is byte-identical
                          to the static run.
   --forecast   <spec>    arrival forecasting; `@file` reads the spec from a
-                         file (newlines allowed as separators). Grammar:
-                           <predictor>[;lead-ms=2000][;bin-ms=1000]
+                         file. Grammar (`,` also separates the shared keys):
+                           <predictor>[;lead-ms=<ms>][;bin-ms=<ms>]
                          Predictors:
                            oracle     true per-bin rates from the replayed
                                       trace (needs --arrivals trace:@file) —
@@ -370,8 +260,7 @@ usage: esg_sim [flags]
                          builds. Accuracy (per-app MAE/sMAPE) lands in
                          --stats-out gauges and the --report-out report.
   --tenants    <spec>    multi-tenant fair queueing; `@file` reads the spec
-                         from a file (newlines allowed as separators).
-                         Clauses are `;`-separated:
+                         from a file. Clauses are `;`-separated:
                            name:weight[:mode][:apps=0,2,...]
                            throttle=<ms>   MQFQ throttle threshold T (default 50)
                          mode is time (default) | energy | hybrid=<alpha>
@@ -386,6 +275,9 @@ usage: esg_sim [flags]
   --version              print one provenance line (commit, compiler, build)
   --build-info           print the full build/host provenance record
   --help
+
+spec files: `@path` works for --fault-spec, --forecast and --tenants. One
+clause per line (or `;`-separated), `#` starts a comment clause, CRLF is fine.
 
 exit codes: 0 success; 2 configuration error (bad flag/spec/scenario);
 1 runtime failure (I/O, internal error).
@@ -421,6 +313,7 @@ CliOptions parse_cli(std::span<const char* const> args) {
       throw std::invalid_argument("missing value for " + std::string(key));
     }
     const std::string_view value = args[++i];
+    const lex::Field field{key, value};
 
     if (key == "--scheduler") {
       opts.schedulers = parse_scheduler_list(value);
@@ -433,7 +326,7 @@ CliOptions parse_cli(std::span<const char* const> args) {
       }
       opts.scenario.engine = *engine;
     } else if (key == "--jobs") {
-      opts.jobs = static_cast<unsigned>(parse_unsigned(key, value));
+      opts.jobs = static_cast<unsigned>(field.integer(0, lex::kMaxId));
     } else if (key == "--sweep-out") {
       opts.sweep_out = std::string(value);
     } else if (key == "--load") {
@@ -441,31 +334,27 @@ CliOptions parse_cli(std::span<const char* const> args) {
     } else if (key == "--slo") {
       opts.scenario.slo = parse_slo(value);
     } else if (key == "--horizon-ms") {
-      opts.scenario.horizon_ms = parse_nonnegative(key, value);
+      opts.scenario.horizon_ms = field.number(lex::kNonNegative);
     } else if (key == "--warmup-ms") {
-      opts.scenario.warmup_ms = parse_nonnegative(key, value);
+      opts.scenario.warmup_ms = field.number(lex::kNonNegative);
     } else if (key == "--nodes") {
-      opts.scenario.nodes = static_cast<std::size_t>(parse_unsigned(key, value));
-      if (opts.scenario.nodes == 0) {
-        throw std::invalid_argument("--nodes must be positive");
-      }
+      opts.scenario.nodes = field.integer(1, lex::kMaxId);
     } else if (key == "--seeds") {
       opts.seeds = parse_seeds(value);
     } else if (key == "--arrivals") {
       opts.scenario.arrivals = parse_arrivals(value);
     } else if (key == "--k") {
-      opts.scenario.esg.k = static_cast<std::size_t>(parse_unsigned(key, value));
+      opts.scenario.esg.k = field.integer(0, lex::kMaxId);
     } else if (key == "--group-size") {
-      opts.scenario.esg.max_group_size =
-          static_cast<std::size_t>(parse_unsigned(key, value));
+      opts.scenario.esg.max_group_size = field.integer(0, lex::kMaxId);
     } else if (key == "--gpu-sharing") {
-      opts.scenario.controller.enable_gpu_sharing = parse_bool(key, value);
+      opts.scenario.controller.enable_gpu_sharing = field.on_off();
     } else if (key == "--batching") {
-      opts.scenario.controller.enable_batching = parse_bool(key, value);
+      opts.scenario.controller.enable_batching = field.on_off();
     } else if (key == "--prewarm") {
-      opts.scenario.controller.enable_prewarm = parse_bool(key, value);
+      opts.scenario.controller.enable_prewarm = field.on_off();
     } else if (key == "--noise-cv") {
-      opts.scenario.controller.noise_cv = parse_number(key, value);
+      opts.scenario.controller.noise_cv = field.number();
     } else if (key == "--csv-dir") {
       opts.csv_dir = std::string(value);
     } else if (key == "--trace-out") {
@@ -477,10 +366,7 @@ CliOptions parse_cli(std::span<const char* const> args) {
     } else if (key == "--perf-out") {
       opts.scenario.trace.perf_path = std::string(value);
     } else if (key == "--stats-interval-ms") {
-      opts.scenario.trace.stats_interval_ms = parse_number(key, value);
-      if (opts.scenario.trace.stats_interval_ms <= 0.0) {
-        throw std::invalid_argument("--stats-interval-ms must be positive");
-      }
+      opts.scenario.trace.stats_interval_ms = field.number(lex::kPositive);
     } else if (key == "--fault-spec") {
       opts.scenario.fault = fault::load_fault_spec(value);
     } else if (key == "--elastic") {

@@ -1,137 +1,36 @@
 #include "fault/fault_spec.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <map>
-#include <sstream>
-#include <stdexcept>
+#include "common/spec_lex.hpp"
 
 namespace esg::fault {
 
 namespace {
 
-[[noreturn]] void bad_clause(std::string_view clause, const std::string& why) {
-  throw std::invalid_argument("fault-spec clause '" + std::string(clause) +
-                              "': " + why);
-}
+constexpr std::string_view kGrammar = "fault-spec";
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) s.remove_suffix(1);
-  return s;
-}
+/// Crash clauses in spec order, kept for overlap diagnostics.
+using CrashClauses = std::vector<lex::Where>;
 
-double parse_double(std::string_view clause, std::string_view key,
-                    std::string_view v) {
-  double out = 0.0;
-  const auto* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(out)) {
-    bad_clause(clause, "malformed number for '" + std::string(key) + "': '" +
-                           std::string(v) + "'");
-  }
-  return out;
-}
-
-/// Key/value map of one clause body; duplicate keys are rejected.
-std::map<std::string, std::string, std::less<>> parse_kv(
-    std::string_view clause, std::string_view body) {
-  std::map<std::string, std::string, std::less<>> kv;
-  std::size_t pos = 0;
-  while (pos <= body.size()) {
-    const std::size_t comma = std::min(body.find(',', pos), body.size());
-    const std::string_view pair = trim(body.substr(pos, comma - pos));
-    pos = comma + 1;
-    if (pair.empty()) continue;
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string_view::npos || eq == 0 || eq + 1 == pair.size()) {
-      bad_clause(clause, "expected key=value, got '" + std::string(pair) + "'");
-    }
-    const auto [_, inserted] = kv.emplace(trim(pair.substr(0, eq)),
-                                          trim(pair.substr(eq + 1)));
-    if (!inserted) {
-      bad_clause(clause, "duplicate key '" + std::string(trim(pair.substr(0, eq))) + "'");
-    }
-  }
-  return kv;
-}
-
-/// Pops `key` from the map as a number; `required` keys must be present.
-std::optional<double> take(std::map<std::string, std::string, std::less<>>& kv,
-                           std::string_view clause, std::string_view key,
-                           bool required) {
-  auto it = kv.find(key);
-  if (it == kv.end()) {
-    if (required) bad_clause(clause, "missing key '" + std::string(key) + "'");
-    return std::nullopt;
-  }
-  const double v = parse_double(clause, key, it->second);
-  kv.erase(it);
-  return v;
-}
-
-void reject_leftovers(
-    const std::map<std::string, std::string, std::less<>>& kv,
-    std::string_view clause) {
-  if (!kv.empty()) {
-    bad_clause(clause, "unknown key '" + kv.begin()->first + "'");
-  }
-}
-
-TimeMs nonneg_time(std::string_view clause, std::string_view key, double v) {
-  if (v < 0.0) bad_clause(clause, std::string(key) + " must be >= 0");
-  return v;
-}
-
-double probability(std::string_view clause, double v) {
-  if (v < 0.0 || v > 1.0) bad_clause(clause, "prob must be in [0, 1]");
-  return v;
-}
-
-std::uint32_t id_value(std::string_view clause, std::string_view key, double v) {
-  if (v < 0.0 || v != std::floor(v) || v >= 4294967295.0) {
-    bad_clause(clause, std::string(key) + " must be a small non-negative integer");
-  }
-  return static_cast<std::uint32_t>(v);
-}
-
-std::string fmt_ms(TimeMs v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
-/// Source line (1-based) of each crash clause, for overlap diagnostics.
-struct ParseContext {
-  std::vector<std::size_t> crash_lines;
-};
-
-void parse_clause(FaultSpec& spec, std::string_view clause,
-                  std::size_t line, ParseContext& ctx) {
-  const std::size_t colon = clause.find(':');
-  if (colon == std::string_view::npos) {
-    bad_clause(clause, "expected kind:key=value,...");
-  }
-  const std::string_view kind = trim(clause.substr(0, colon));
-  auto kv = parse_kv(clause, clause.substr(colon + 1));
+void parse_clause(FaultSpec& spec, const lex::Where& at,
+                  CrashClauses& crash_clauses) {
+  const auto [kind, body] = lex::split_first(at.clause, ':');
+  if (!body) at.fail("expected kind:key=value,...");
+  lex::Fields kv(at, *body);
+  const auto id = [](const lex::Field& f) {
+    return static_cast<std::uint32_t>(f.integer(0, lex::kMaxId));
+  };
 
   if (kind == "crash") {
     CrashWindow c;
-    c.invoker = InvokerId(id_value(clause, "invoker", *take(kv, clause, "invoker", true)));
-    c.at_ms = nonneg_time(clause, "at", *take(kv, clause, "at", true));
-    c.down_ms = nonneg_time(clause, "down", *take(kv, clause, "down", true));
-    reject_leftovers(kv, clause);
+    c.invoker = InvokerId(id(kv.need("invoker")));
+    c.at_ms = kv.need("at").number(lex::kNonNegative);
+    c.down_ms = kv.need("down").number(lex::kNonNegative);
     spec.crashes.push_back(c);
-    ctx.crash_lines.push_back(line);
+    crash_clauses.push_back(at);
   } else if (kind == "dispatch" || kind == "coldstart") {
-    const double prob = probability(clause, *take(kv, clause, "prob", true));
+    const double prob = kv.need("prob").number(lex::kProbability);
     std::optional<FunctionId> function;
-    if (const auto fn = take(kv, clause, "function", false)) {
-      function = FunctionId(id_value(clause, "function", *fn));
-    }
-    reject_leftovers(kv, clause);
+    if (const auto fn = kv.take("function")) function = FunctionId(id(*fn));
     if (kind == "dispatch") {
       spec.dispatch.push_back(DispatchFault{prob, function});
     } else {
@@ -139,27 +38,24 @@ void parse_clause(FaultSpec& spec, std::string_view clause,
     }
   } else if (kind == "slow") {
     SlowdownWindow w;
-    w.invoker = InvokerId(id_value(clause, "invoker", *take(kv, clause, "invoker", true)));
-    w.at_ms = nonneg_time(clause, "at", *take(kv, clause, "at", true));
-    w.duration_ms = nonneg_time(clause, "for", *take(kv, clause, "for", true));
-    w.factor = *take(kv, clause, "factor", true);
-    if (w.factor < 1.0) bad_clause(clause, "factor must be >= 1");
-    reject_leftovers(kv, clause);
+    w.invoker = InvokerId(id(kv.need("invoker")));
+    w.at_ms = kv.need("at").number(lex::kNonNegative);
+    w.duration_ms = kv.need("for").number(lex::kNonNegative);
+    w.factor = kv.need("factor").number(lex::Range{1.0});
     spec.slowdowns.push_back(w);
   } else if (kind == "spot") {
     SpotReclamation s;
-    s.at_ms = nonneg_time(clause, "at", *take(kv, clause, "at", true));
-    s.nodes = id_value(clause, "nodes", *take(kv, clause, "nodes", true));
-    if (s.nodes == 0) bad_clause(clause, "nodes must be >= 1");
-    if (const auto warn = take(kv, clause, "warn", false)) {
-      s.warn_ms = nonneg_time(clause, "warn", *warn);
+    s.at_ms = kv.need("at").number(lex::kNonNegative);
+    s.nodes = kv.need("nodes").integer(1, lex::kMaxId);
+    if (const auto warn = kv.take("warn")) {
+      s.warn_ms = warn->number(lex::kNonNegative);
     }
-    reject_leftovers(kv, clause);
     spec.spot.push_back(s);
   } else {
-    bad_clause(clause, "unknown kind '" + std::string(kind) +
-                           "' (crash|dispatch|coldstart|slow|spot)");
+    at.fail("unknown kind '" + std::string(kind) +
+            "' (crash|dispatch|coldstart|slow|spot)");
   }
+  kv.finish();
 }
 
 /// Rejects crash windows on the same invoker whose [at, at+down) intervals
@@ -168,20 +64,21 @@ void parse_clause(FaultSpec& spec, std::string_view clause,
 /// Back-to-back windows (one ending exactly where the next starts) are
 /// fine — the rejoin event is scheduled before the next crash.
 void reject_overlapping_crashes(const FaultSpec& spec,
-                                const ParseContext& ctx) {
+                                const CrashClauses& crash_clauses) {
+  const auto window = [](const CrashWindow& c) {
+    return "[" + lex::fmt_g(c.at_ms) + ", " + lex::fmt_g(c.at_ms + c.down_ms) +
+           ")";
+  };
   for (std::size_t i = 0; i < spec.crashes.size(); ++i) {
     for (std::size_t j = i + 1; j < spec.crashes.size(); ++j) {
       const CrashWindow& a = spec.crashes[i];
       const CrashWindow& b = spec.crashes[j];
       if (a.invoker != b.invoker) continue;
       if (a.at_ms + a.down_ms > b.at_ms && b.at_ms + b.down_ms > a.at_ms) {
-        throw std::invalid_argument(
-            "fault-spec line " + std::to_string(ctx.crash_lines[j]) +
-            ": crash window on invoker " + std::to_string(b.invoker.get()) +
-            " [" + fmt_ms(b.at_ms) + ", " + fmt_ms(b.at_ms + b.down_ms) +
-            ") overlaps the window at line " +
-            std::to_string(ctx.crash_lines[i]) + " [" + fmt_ms(a.at_ms) +
-            ", " + fmt_ms(a.at_ms + a.down_ms) + ")");
+        crash_clauses[j].fail(
+            "crash window on invoker " + std::to_string(b.invoker.get()) +
+            " " + window(b) + " overlaps the window at line " +
+            std::to_string(crash_clauses[i].line) + " " + window(a));
       }
     }
   }
@@ -208,33 +105,16 @@ bool FaultSpec::inert() const {
 
 FaultSpec parse_fault_spec(std::string_view text) {
   FaultSpec spec;
-  ParseContext ctx;
-  std::size_t pos = 0;
-  std::size_t line = 1;
-  while (pos <= text.size()) {
-    const std::size_t sep = std::min(text.find_first_of(";\n", pos), text.size());
-    const std::string_view clause = trim(text.substr(pos, sep - pos));
-    const bool newline = sep < text.size() && text[sep] == '\n';
-    pos = sep + 1;
-    if (!clause.empty() && clause.front() != '#') {
-      parse_clause(spec, clause, line, ctx);
-    }
-    if (newline) ++line;
+  CrashClauses crash_clauses;
+  for (const lex::Where& at : lex::clauses(kGrammar, text)) {
+    parse_clause(spec, at, crash_clauses);
   }
-  reject_overlapping_crashes(spec, ctx);
+  reject_overlapping_crashes(spec, crash_clauses);
   return spec;
 }
 
 FaultSpec load_fault_spec(std::string_view arg) {
-  if (arg.empty() || arg.front() != '@') return parse_fault_spec(arg);
-  const std::string path(arg.substr(1));
-  std::ifstream file(path);
-  if (!file) {
-    throw std::invalid_argument("fault-spec file '" + path + "' is unreadable");
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return parse_fault_spec(text.str());
+  return parse_fault_spec(lex::load_text(kGrammar, arg));
 }
 
 std::string to_string(const FaultSpec& spec) {
@@ -245,27 +125,27 @@ std::string to_string(const FaultSpec& spec) {
   };
   for (const auto& c : spec.crashes) {
     clause("crash:invoker=" + std::to_string(c.invoker.get()) +
-           ",at=" + fmt_ms(c.at_ms) + ",down=" + fmt_ms(c.down_ms));
+           ",at=" + lex::fmt_g(c.at_ms) + ",down=" + lex::fmt_g(c.down_ms));
   }
   for (const auto& d : spec.dispatch) {
-    std::string s = "dispatch:prob=" + fmt_ms(d.prob);
+    std::string s = "dispatch:prob=" + lex::fmt_g(d.prob);
     if (d.function) s += ",function=" + std::to_string(d.function->get());
     clause(s);
   }
   for (const auto& c : spec.cold_start) {
-    std::string s = "coldstart:prob=" + fmt_ms(c.prob);
+    std::string s = "coldstart:prob=" + lex::fmt_g(c.prob);
     if (c.function) s += ",function=" + std::to_string(c.function->get());
     clause(s);
   }
   for (const auto& w : spec.slowdowns) {
     clause("slow:invoker=" + std::to_string(w.invoker.get()) +
-           ",at=" + fmt_ms(w.at_ms) + ",for=" + fmt_ms(w.duration_ms) +
-           ",factor=" + fmt_ms(w.factor));
+           ",at=" + lex::fmt_g(w.at_ms) + ",for=" + lex::fmt_g(w.duration_ms) +
+           ",factor=" + lex::fmt_g(w.factor));
   }
   for (const auto& s : spec.spot) {
-    std::string str = "spot:at=" + fmt_ms(s.at_ms) +
+    std::string str = "spot:at=" + lex::fmt_g(s.at_ms) +
                       ",nodes=" + std::to_string(s.nodes);
-    if (s.warn_ms > 0.0) str += ",warn=" + fmt_ms(s.warn_ms);
+    if (s.warn_ms > 0.0) str += ",warn=" + lex::fmt_g(s.warn_ms);
     clause(str);
   }
   return out;

@@ -22,9 +22,11 @@
 //                                          are reclaimed (in-flight work
 //                                          killed, node retired) at t=2500ms
 //
-// Lines starting with '#' are comments (file form). Probabilities must be
-// finite in [0, 1], times finite and non-negative, factors finite and >= 1;
-// violations throw std::invalid_argument naming the clause. Two crash
+// Clauses starting with '#' are comments; clause splitting, `@file` rules
+// and number checks are common/spec_lex's (DESIGN.md §16). Probabilities
+// must be finite in [0, 1], times finite and non-negative, factors finite
+// and >= 1; violations throw std::invalid_argument naming the line and the
+// clause. Two crash
 // windows on the same invoker must not overlap (a rejoin firing inside
 // another open window would corrupt the node's alive state) — overlaps are
 // rejected at parse time with an error naming both clause lines. A spec

@@ -1,80 +1,14 @@
 #include "forecast/forecast_spec.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <map>
-#include <stdexcept>
 #include <vector>
+
+#include "common/spec_lex.hpp"
 
 namespace esg::forecast {
 
 namespace {
 
-[[noreturn]] void bad_spec(std::string_view clause, const std::string& why) {
-  throw std::invalid_argument("forecast spec '" + std::string(clause) +
-                              "': " + why);
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) s.remove_suffix(1);
-  return s;
-}
-
-double parse_double(std::string_view clause, std::string_view key,
-                    std::string_view v) {
-  double out = 0.0;
-  const auto* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(out)) {
-    bad_spec(clause, "malformed number for '" + std::string(key) + "': '" +
-                         std::string(v) + "'");
-  }
-  return out;
-}
-
-std::size_t parse_count(std::string_view clause, std::string_view key,
-                        std::string_view v) {
-  const double d = parse_double(clause, key, v);
-  if (d < 0.0 || d != std::floor(d) || d >= 4294967295.0) {
-    bad_spec(clause,
-             std::string(key) + " must be a small non-negative integer");
-  }
-  return static_cast<std::size_t>(d);
-}
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
-/// Splits `body` on `sep` into trimmed non-empty key=value pairs, rejecting
-/// duplicates. Used for both the predictor parameters and the shared tail.
-std::map<std::string, std::string, std::less<>> parse_kv(
-    std::string_view clause, std::string_view body, char sep) {
-  std::map<std::string, std::string, std::less<>> kv;
-  std::size_t pos = 0;
-  while (pos <= body.size()) {
-    const std::size_t cut = std::min(body.find(sep, pos), body.size());
-    const std::string_view pair = trim(body.substr(pos, cut - pos));
-    pos = cut + 1;
-    if (pair.empty()) continue;
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string_view::npos || eq == 0 || eq + 1 == pair.size()) {
-      bad_spec(clause, "expected key=value, got '" + std::string(pair) + "'");
-    }
-    const auto [_, inserted] =
-        kv.emplace(trim(pair.substr(0, eq)), trim(pair.substr(eq + 1)));
-    if (!inserted) {
-      bad_spec(clause,
-               "duplicate key '" + std::string(trim(pair.substr(0, eq))) + "'");
-    }
-  }
-  return kv;
-}
+constexpr std::string_view kGrammar = "forecast-spec";
 
 }  // namespace
 
@@ -95,17 +29,15 @@ std::string_view to_string(ForecastKind kind) {
 }
 
 ForecastSpec parse_forecast_spec(std::string_view text) {
-  const std::string_view full = trim(text);
   ForecastSpec spec;
-  if (full.empty() || full == "none") return spec;
+  const std::vector<lex::Where> clauses = lex::clauses(kGrammar, text);
+  if (clauses.empty() || (clauses.size() == 1 && clauses[0].clause == "none")) {
+    return spec;
+  }
 
-  // First `;` clause names the predictor; the rest are shared keys.
-  const std::size_t semi = full.find(';');
-  const std::string_view head =
-      trim(semi == std::string_view::npos ? full : full.substr(0, semi));
-  const std::size_t colon = head.find(':');
-  const std::string_view name =
-      trim(colon == std::string_view::npos ? head : head.substr(0, colon));
+  // The first clause names the predictor; later ones carry the shared keys.
+  const lex::Where& head = clauses.front();
+  const auto [name, params] = lex::split_first(head.clause, ':');
   if (name == "oracle") {
     spec.kind = ForecastKind::kOracle;
   } else if (name == "last-bin") {
@@ -115,77 +47,49 @@ ForecastSpec parse_forecast_spec(std::string_view text) {
   } else if (name == "seasonal") {
     spec.kind = ForecastKind::kSeasonal;
   } else {
-    bad_spec(full, "unknown predictor '" + std::string(name) +
-                       "' (oracle|last-bin|ewma|seasonal|none)");
+    head.fail("unknown predictor '" + std::string(name) +
+              "' (oracle|last-bin|ewma|seasonal|none)");
   }
 
-  if (colon != std::string_view::npos) {
-    for (const auto& [key, value] : parse_kv(full, head.substr(colon + 1), ',')) {
-      if (key == "alpha" && spec.kind == ForecastKind::kEwma) {
-        spec.ewma_alpha = parse_double(full, key, value);
-        if (spec.ewma_alpha <= 0.0 || spec.ewma_alpha > 1.0) {
-          bad_spec(full, "alpha must be in (0, 1]");
-        }
-      } else if (key == "period-ms" && spec.kind == ForecastKind::kSeasonal) {
-        spec.seasonal_period_ms = parse_double(full, key, value);
-        if (spec.seasonal_period_ms <= 0.0) {
-          bad_spec(full, "period-ms must be > 0");
-        }
-      } else if (key == "bins" && spec.kind == ForecastKind::kSeasonal) {
-        spec.seasonal_bins = parse_count(full, key, value);
-        if (spec.seasonal_bins == 0 || spec.seasonal_bins > (1u << 20)) {
-          bad_spec(full, "bins must be in [1, 2^20]");
-        }
-      } else {
-        bad_spec(full, "unknown key '" + key + "' for predictor '" +
-                           std::string(name) + "'");
-      }
-    }
+  lex::Fields kv(head, params.value_or(""));
+  if (spec.kind == ForecastKind::kEwma) {
+    if (auto f = kv.take("alpha")) spec.ewma_alpha = f->number(lex::kFraction);
   }
+  if (spec.kind == ForecastKind::kSeasonal) {
+    if (auto f = kv.take("period-ms")) {
+      spec.seasonal_period_ms = f->number(lex::kPositive);
+    }
+    if (auto f = kv.take("bins")) spec.seasonal_bins = f->integer(1, 1u << 20);
+  }
+  kv.finish();
 
-  if (semi != std::string_view::npos) {
-    for (const auto& [key, value] : parse_kv(full, full.substr(semi + 1), ',')) {
-      if (key == "lead-ms") {
-        spec.lead_ms = parse_double(full, key, value);
-        if (spec.lead_ms < 0.0) bad_spec(full, "lead-ms must be >= 0");
-      } else if (key == "bin-ms") {
-        spec.bin_ms = parse_double(full, key, value);
-        if (spec.bin_ms <= 0.0) bad_spec(full, "bin-ms must be > 0");
-      } else {
-        bad_spec(full, "unknown key '" + key + "'");
-      }
-    }
+  lex::Fields shared;
+  for (std::size_t i = 1; i < clauses.size(); ++i) {
+    shared.add(clauses[i], clauses[i].clause);
   }
+  if (auto f = shared.take("lead-ms")) {
+    spec.lead_ms = f->number(lex::kNonNegative);
+  }
+  if (auto f = shared.take("bin-ms")) spec.bin_ms = f->number(lex::kPositive);
+  shared.finish();
   return spec;
 }
 
 ForecastSpec load_forecast_spec(std::string_view arg) {
-  if (arg.empty() || arg.front() != '@') return parse_forecast_spec(arg);
-  const std::string path(arg.substr(1));
-  std::ifstream in(path);
-  if (!in) {
-    throw std::invalid_argument("forecast spec file '" + path +
-                                "' is unreadable");
-  }
-  std::string text, line;
-  while (std::getline(in, line)) {
-    if (!text.empty()) text += ';';
-    text += line;
-  }
-  return parse_forecast_spec(text);
+  return parse_forecast_spec(lex::load_text(kGrammar, arg));
 }
 
 std::string to_string(const ForecastSpec& spec) {
   if (!spec.enabled()) return "none";
   std::string out(to_string(spec.kind));
   if (spec.kind == ForecastKind::kEwma) {
-    out += ":alpha=" + fmt(spec.ewma_alpha);
+    out += ":alpha=" + lex::fmt_g(spec.ewma_alpha);
   } else if (spec.kind == ForecastKind::kSeasonal) {
-    out += ":period-ms=" + fmt(spec.seasonal_period_ms);
+    out += ":period-ms=" + lex::fmt_g(spec.seasonal_period_ms);
     out += ",bins=" + std::to_string(spec.seasonal_bins);
   }
-  out += ";lead-ms=" + fmt(spec.lead_ms);
-  out += ",bin-ms=" + fmt(spec.bin_ms);
+  out += ";lead-ms=" + lex::fmt_g(spec.lead_ms);
+  out += ",bin-ms=" + lex::fmt_g(spec.bin_ms);
   return out;
 }
 

@@ -1,19 +1,20 @@
 // --forecast spec grammar (DESIGN.md §14).
 //
-//   --forecast "oracle|last-bin|ewma[:alpha=A]|seasonal[:period-ms=P,bins=B]
-//               [;lead-ms=L[,bin-ms=W]]"
+//   --forecast "<predictor>[;lead-ms=<ms>][;bin-ms=<ms>]"
+//   <predictor> := oracle | last-bin | ewma[:alpha=A]
+//                | seasonal[:period-ms=P,bins=B]
 //
-// The first `;`-separated clause names the predictor (with optional
-// `key=value` parameters after a colon); later clauses carry keys shared by
-// every predictor: `lead-ms` (how far ahead consumers act on a forecast) and
+// The first clause names the predictor (with optional `key=value`
+// parameters after a colon); later clauses carry keys shared by every
+// predictor: `lead-ms` (how far ahead consumers act on a forecast) and
 // `bin-ms` (the width of the observation bins online predictors learn from).
-// `none` (or an empty string) is the inert spec: nothing is constructed and
-// the run is byte-identical to a build without the flag. Like every other
-// spec surface the grammar is hardened: numbers go through std::from_chars,
-// NaN/inf/negative values, duplicate keys, parameters on the wrong predictor
-// and unknown keys all raise std::invalid_argument with the offending clause
-// in the message. `@file` indirection reads the spec from a file (newlines
-// become `;`).
+// `,` also separates the shared keys (`oracle;lead-ms=3000,bin-ms=500`, the
+// form to_string writes). `none` (or an empty string) is the inert spec:
+// nothing is constructed and the run is byte-identical to a build without
+// the flag. Clause splitting, `@file` indirection and number checks are
+// common/spec_lex's (DESIGN.md §16): NaN/inf/negative values, duplicate
+// keys, parameters on the wrong predictor and unknown keys all raise
+// std::invalid_argument naming the line and the offending clause.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +58,7 @@ struct ForecastSpec {
 [[nodiscard]] ForecastSpec parse_forecast_spec(std::string_view text);
 
 /// parse_forecast_spec with `@file` indirection: an argument starting with
-/// '@' names a file whose contents (newlines folded to ';') are parsed.
+/// '@' names a file whose clauses (one per line) are parsed.
 [[nodiscard]] ForecastSpec load_forecast_spec(std::string_view arg);
 
 /// Canonical round-trippable rendering (parse(to_string(s)) == s).

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 
 #include "common/check.hpp"
 #include "common/ewma.hpp"
+#include "common/spec_lex.hpp"
 
 namespace esg::forecast {
 
@@ -182,12 +182,6 @@ class SeasonalForecaster final : public ArrivalForecaster {
   TimeMs bin_ms_ = 1.0;
 };
 
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
 }  // namespace
 
 std::unique_ptr<ArrivalForecaster> make_forecaster(
@@ -301,8 +295,8 @@ void ForecastService::close_bin(std::size_t bin) {
       rec_->instant(obs::InstantKind::kForecastBin, "forecast_bin",
                     obs::controller_track(), start_ms + spec_.bin_ms,
                     {{"app", std::to_string(app)},
-                     {"predicted", fmt(s.predicted)},
-                     {"realized", fmt(s.realized)}});
+                     {"predicted", lex::fmt_g(s.predicted)},
+                     {"realized", lex::fmt_g(s.realized)}});
     }
     predictor_->observe_bin(app, start_ms, spec_.bin_ms, s.realized);
     s.realized = 0.0;

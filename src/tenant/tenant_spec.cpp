@@ -1,47 +1,15 @@
 #include "tenant/tenant_spec.hpp"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <stdexcept>
+
+#include "common/spec_lex.hpp"
 
 namespace esg::tenant {
 
 namespace {
 
-[[noreturn]] void bad_spec(std::string_view clause, const std::string& why) {
-  throw std::invalid_argument("tenant spec '" + std::string(clause) +
-                              "': " + why);
-}
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) s.remove_suffix(1);
-  return s;
-}
-
-double parse_double(std::string_view clause, std::string_view what,
-                    std::string_view v) {
-  double out = 0.0;
-  const auto* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(out)) {
-    bad_spec(clause, "malformed number for " + std::string(what) + ": '" +
-                         std::string(v) + "'");
-  }
-  return out;
-}
-
-std::uint32_t parse_app_id(std::string_view clause, std::string_view v) {
-  const double d = parse_double(clause, "apps entry", v);
-  if (d < 0.0 || d != std::floor(d) || d >= 4294967295.0) {
-    bad_spec(clause, "app ids must be small non-negative integers");
-  }
-  return static_cast<std::uint32_t>(d);
-}
+constexpr std::string_view kGrammar = "tenant-spec";
 
 bool valid_name(std::string_view name) {
   if (name.empty()) return false;
@@ -53,78 +21,62 @@ bool valid_name(std::string_view name) {
   return true;
 }
 
-void parse_mode(std::string_view clause, std::string_view field,
+void parse_mode(const lex::Where& at, std::string_view field,
                 TenantDef& def) {
   if (field == "time") {
     def.mode = ChargeMode::kTime;
   } else if (field == "energy") {
     def.mode = ChargeMode::kEnergy;
-  } else if (field.rfind("hybrid=", 0) == 0) {
+  } else if (field.starts_with("hybrid=")) {
     def.mode = ChargeMode::kHybrid;
-    def.hybrid_alpha = parse_double(clause, "hybrid alpha", field.substr(7));
-    if (def.hybrid_alpha < 0.0 || def.hybrid_alpha > 1.0) {
-      bad_spec(clause, "hybrid alpha must be in [0, 1]");
-    }
+    def.hybrid_alpha =
+        lex::Field{"hybrid alpha", field.substr(7), at}.number(
+            lex::kProbability);
   } else {
-    bad_spec(clause, "unknown charge mode '" + std::string(field) +
-                         "' (time|energy|hybrid=<alpha>)");
+    at.fail("unknown charge mode '" + std::string(field) +
+            "' (time|energy|hybrid=<alpha>)");
   }
 }
 
-void parse_apps(std::string_view clause, std::string_view list,
+void parse_apps(const lex::Where& at, std::string_view list,
                 TenantDef& def) {
-  if (list.empty()) bad_spec(clause, "apps= needs at least one app id");
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const std::size_t comma = std::min(list.find(',', pos), list.size());
-    const std::string_view item = trim(list.substr(pos, comma - pos));
-    pos = comma + 1;
-    if (item.empty()) bad_spec(clause, "empty app id in apps=");
-    def.apps.push_back(parse_app_id(clause, item));
+  if (list.empty()) at.fail("apps= needs at least one app id");
+  for (const std::string_view piece : lex::split(list, ',')) {
+    const lex::Field app{"apps entry", lex::trim(piece), at};
+    if (app.value.empty()) at.fail("empty app id in apps=");
+    def.apps.push_back(static_cast<std::uint32_t>(app.integer(0, lex::kMaxId)));
   }
 }
 
-TenantDef parse_tenant_clause(std::string_view clause) {
-  TenantDef def;
-  // name : weight [: mode] [: apps=...] — fields split on ':'.
-  std::vector<std::string_view> fields;
-  std::size_t pos = 0;
-  while (pos <= clause.size()) {
-    const std::size_t colon = std::min(clause.find(':', pos), clause.size());
-    fields.push_back(trim(clause.substr(pos, colon - pos)));
-    pos = colon + 1;
-  }
+/// name : weight [: mode] [: apps=...] — fields split on ':'.
+TenantDef parse_tenant_clause(const lex::Where& at) {
+  std::vector<std::string_view> fields = lex::split(at.clause, ':');
+  for (std::string_view& field : fields) field = lex::trim(field);
   if (fields.size() < 2) {
-    bad_spec(clause, "expected <name>:<weight>[:<mode>][:apps=...]");
+    at.fail("expected <name>:<weight>[:<mode>][:apps=...]");
   }
   if (!valid_name(fields[0])) {
-    bad_spec(clause, "tenant names must be non-empty [A-Za-z0-9_-]");
+    at.fail("tenant names must be non-empty [A-Za-z0-9_-]");
   }
+  TenantDef def;
   def.name = std::string(fields[0]);
-  def.weight = parse_double(clause, "weight", fields[1]);
-  if (def.weight <= 0.0) bad_spec(clause, "weight must be > 0");
+  def.weight = lex::Field{"weight", fields[1], at}.number(lex::kPositive);
 
   bool saw_mode = false;
   bool saw_apps = false;
   for (std::size_t i = 2; i < fields.size(); ++i) {
     const std::string_view field = fields[i];
-    if (field.rfind("apps=", 0) == 0) {
-      if (saw_apps) bad_spec(clause, "duplicate apps= field");
+    if (field.starts_with("apps=")) {
+      if (saw_apps) at.fail("duplicate apps= field");
       saw_apps = true;
-      parse_apps(clause, field.substr(5), def);
+      parse_apps(at, field.substr(5), def);
     } else {
-      if (saw_mode) bad_spec(clause, "duplicate charge-mode field");
+      if (saw_mode) at.fail("duplicate charge-mode field");
       saw_mode = true;
-      parse_mode(clause, field, def);
+      parse_mode(at, field, def);
     }
   }
   return def;
-}
-
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
 }
 
 }  // namespace
@@ -157,62 +109,43 @@ std::string TenantSpec::tenant_name(std::uint32_t t) const {
 
 TenantSpec parse_tenant_spec(std::string_view text) {
   TenantSpec spec;
-  const std::string_view all = trim(text);
-  if (all.empty() || all == "none") return spec;
+  const std::vector<lex::Where> clauses = lex::clauses(kGrammar, text);
+  if (clauses.empty() || (clauses.size() == 1 && clauses[0].clause == "none")) {
+    return spec;
+  }
 
-  std::size_t pos = 0;
   bool saw_throttle = false;
-  while (pos <= all.size()) {
-    const std::size_t semi = std::min(all.find(';', pos), all.size());
-    const std::string_view clause = trim(all.substr(pos, semi - pos));
-    pos = semi + 1;
-    if (clause.empty()) continue;
-    if (clause.rfind("throttle=", 0) == 0) {
-      if (saw_throttle) bad_spec(clause, "duplicate throttle= clause");
+  std::set<std::uint32_t> claimed;
+  for (const lex::Where& at : clauses) {
+    if (at.clause.starts_with("throttle=")) {
+      if (saw_throttle) at.fail("duplicate throttle= clause");
       saw_throttle = true;
-      spec.throttle_ms = parse_double(clause, "throttle", clause.substr(9));
-      if (spec.throttle_ms <= 0.0) bad_spec(clause, "throttle must be > 0");
+      const lex::Field throttle{"throttle", at.clause.substr(9), at};
+      spec.throttle_ms = throttle.number(lex::kPositive);
       continue;
     }
-    spec.tenants.push_back(parse_tenant_clause(clause));
-  }
-  if (spec.tenants.empty()) {
-    bad_spec(all, "needs at least one tenant clause");
-  }
-
-  std::set<std::string_view> names;
-  std::set<std::uint32_t> claimed;
-  for (const auto& def : spec.tenants) {
-    if (!names.insert(def.name).second) {
-      bad_spec(all, "duplicate tenant name '" + def.name + "'");
+    TenantDef def = parse_tenant_clause(at);
+    for (const TenantDef& other : spec.tenants) {
+      if (other.name == def.name) {
+        at.fail("duplicate tenant name '" + def.name + "'");
+      }
     }
     for (const std::uint32_t app : def.apps) {
       if (!claimed.insert(app).second) {
-        bad_spec(all, "app " + std::to_string(app) +
-                          " mapped to more than one tenant");
+        at.fail("app " + std::to_string(app) +
+                " mapped to more than one tenant");
       }
     }
+    spec.tenants.push_back(std::move(def));
+  }
+  if (spec.tenants.empty()) {
+    lex::Where{kGrammar}.fail("needs at least one tenant clause");
   }
   return spec;
 }
 
 TenantSpec load_tenant_spec(std::string_view arg) {
-  if (arg.empty() || arg.front() != '@') return parse_tenant_spec(arg);
-  const std::string path(arg.substr(1));
-  std::ifstream file(path);
-  if (!file) {
-    throw std::invalid_argument("tenant-spec file '" + path +
-                                "' is unreadable");
-  }
-  std::ostringstream text;
-  text << file.rdbuf();
-  // File form: newlines are clause separators too, so one clause per line
-  // reads naturally.
-  std::string body = text.str();
-  for (char& c : body) {
-    if (c == '\n' || c == '\r') c = ';';
-  }
-  return parse_tenant_spec(body);
+  return parse_tenant_spec(lex::load_text(kGrammar, arg));
 }
 
 std::string to_string(const TenantSpec& spec) {
@@ -220,9 +153,11 @@ std::string to_string(const TenantSpec& spec) {
   std::string out;
   for (const auto& def : spec.tenants) {
     if (!out.empty()) out += ";";
-    out += def.name + ":" + fmt(def.weight);
+    out += def.name + ":" + lex::fmt_g(def.weight);
     out += ":" + std::string(to_string(def.mode));
-    if (def.mode == ChargeMode::kHybrid) out += "=" + fmt(def.hybrid_alpha);
+    if (def.mode == ChargeMode::kHybrid) {
+      out += "=" + lex::fmt_g(def.hybrid_alpha);
+    }
     if (!def.apps.empty()) {
       out += ":apps=";
       for (std::size_t i = 0; i < def.apps.size(); ++i) {
@@ -231,7 +166,7 @@ std::string to_string(const TenantSpec& spec) {
       }
     }
   }
-  out += ";throttle=" + fmt(spec.throttle_ms);
+  out += ";throttle=" + lex::fmt_g(spec.throttle_ms);
   return out;
 }
 

@@ -7,7 +7,8 @@
 // same hardening contract as FaultSpec/ElasticSpec: every malformed clause is
 // rejected at parse time with a precise std::invalid_argument.
 //
-// Grammar (clauses separated by ';'):
+// Grammar (clauses separated by ';' or newlines, '#' clauses are comments;
+// the shared common/spec_lex rules, DESIGN.md §16):
 //
 //   <name>:<weight>[:<mode>][:apps=<id>,<id>,...]   declare one tenant
 //   throttle=<ms>                                   MQFQ throttle threshold T

@@ -1,6 +1,6 @@
 #include "trace/workload_trace.hpp"
 
-#include <charconv>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,81 +10,44 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/spec_lex.hpp"
+
 namespace esg::trace {
 
 namespace {
 
-[[noreturn]] void fail_line(std::size_t line_no, const std::string& why) {
-  throw std::invalid_argument("workload-trace line " + std::to_string(line_no) +
-                              ": " + why);
-}
+constexpr std::string_view kGrammar = "workload-trace";
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t' ||
-                        s.front() == '\r')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() &&
-         (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-double parse_double(std::size_t line_no, std::string_view what,
-                    std::string_view v) {
-  double out = 0.0;
-  const auto* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  // from_chars accepts "nan"/"inf"; a trace with either is corrupt, and NaN
-  // in particular would defeat every downstream range check.
-  if (ec != std::errc{} || ptr != end || !std::isfinite(out)) {
-    fail_line(line_no, "malformed number for " + std::string(what) + ": '" +
-                           std::string(v) + "'");
-  }
-  return out;
-}
-
-std::size_t parse_index(std::size_t line_no, std::string_view what,
+/// Index field `key` of a row, checked against its exclusive bound.
+std::size_t index_field(const lex::Where& at, std::string_view key,
                         std::string_view v, std::size_t max_exclusive) {
-  const double d = parse_double(line_no, what, v);
-  if (d < 0.0 || d != std::floor(d)) {
-    fail_line(line_no,
-              std::string(what) + " must be a non-negative integer, got '" +
-                  std::string(v) + "'");
-  }
-  if (d >= static_cast<double>(max_exclusive)) {
-    fail_line(line_no, std::string(what) + " " + std::string(v) +
-                           " out of range (< " +
-                           std::to_string(max_exclusive) + ")");
-  }
-  return static_cast<std::size_t>(d);
+  return lex::Field{key, v, at}.integer(0, max_exclusive - 1);
+}
+
+/// Invocation count of a row: finite and non-negative.
+double count_field(const lex::Where& at, std::string_view v) {
+  return lex::Field{"count", v, at}.number(lex::kNonNegative);
 }
 
 /// Appends a data row, enforcing (bin, app, tenant) strictly-increasing
-/// order (which also rejects duplicates) and count sanity.
-void push_row(WorkloadTrace& trace, std::size_t line_no, std::size_t bin,
+/// order (which also rejects duplicates).
+void push_row(WorkloadTrace& trace, const lex::Where& at, std::size_t bin,
               std::size_t app, double count, std::size_t tenant) {
   if (app >= trace.app_count) {
-    fail_line(line_no, "unknown app " + std::to_string(app) +
-                           " (trace declares apps=" +
-                           std::to_string(trace.app_count) + ")");
+    at.fail("unknown app " + std::to_string(app) + " (trace declares apps=" +
+            std::to_string(trace.app_count) + ")");
   }
   if (tenant >= trace.tenant_count) {
-    fail_line(line_no, "unknown tenant " + std::to_string(tenant) +
-                           " (trace declares tenants=" +
-                           std::to_string(trace.tenant_count) + ")");
-  }
-  if (count < 0.0) {
-    fail_line(line_no, "negative count");
+    at.fail("unknown tenant " + std::to_string(tenant) +
+            " (trace declares tenants=" + std::to_string(trace.tenant_count) +
+            ")");
   }
   if (!trace.rows.empty()) {
     const TraceBinRow& prev = trace.rows.back();
     if (bin < prev.bin ||
         (bin == prev.bin &&
          (app < prev.app || (app == prev.app && tenant <= prev.tenant)))) {
-      fail_line(line_no,
-                "rows must be sorted by (bin, app, tenant) without duplicates");
+      at.fail("rows must be sorted by (bin, app, tenant) without duplicates");
     }
   }
   trace.rows.push_back(TraceBinRow{bin, static_cast<std::uint32_t>(app), count,
@@ -99,48 +62,39 @@ std::size_t split_csv(std::string_view line, std::string_view* fields,
   while (n < max_fields) {
     const std::size_t comma = line.find(',', pos);
     if (comma == std::string_view::npos) {
-      fields[n++] = trim(line.substr(pos));
+      fields[n++] = lex::trim(line.substr(pos));
       return n;
     }
-    fields[n++] = trim(line.substr(pos, comma - pos));
+    fields[n++] = lex::trim(line.substr(pos, comma - pos));
     pos = comma + 1;
   }
   return max_fields + 1;  // too many fields
 }
 
 /// `key=value` field with a required key.
-std::string_view keyed(std::size_t line_no, std::string_view field,
-                       std::string_view key) {
-  const std::size_t eq = field.find('=');
-  if (eq == std::string_view::npos || trim(field.substr(0, eq)) != key) {
-    fail_line(line_no, "expected '" + std::string(key) + "=<value>', got '" +
-                           std::string(field) + "'");
+lex::Field keyed(const lex::Where& at, std::string_view field,
+                 std::string_view key) {
+  const auto [name, value] = lex::split_first(field, '=');
+  if (name != key || !value) {
+    at.fail("expected '" + std::string(key) + "=<value>', got '" +
+            std::string(field) + "'");
   }
-  return trim(field.substr(eq + 1));
+  return lex::Field{key, lex::trim(*value), at};
 }
 
-void parse_csv_header(WorkloadTrace& trace, std::size_t line_no,
-                      std::string_view line) {
+void parse_csv_header(WorkloadTrace& trace, const lex::Where& at) {
   std::string_view f[5];
-  const std::size_t n = split_csv(line, f, 5);
+  const std::size_t n = split_csv(at.clause, f, 5);
   if ((n != 4 && n != 5) || f[0] != "esg-trace" || f[1] != "v1") {
-    fail_line(line_no,
-              "expected header 'esg-trace,v1,bin_ms=<ms>,apps=<n>"
-              "[,tenants=<t>]', got '" +
-                  std::string(line) + "'");
+    at.fail("expected header 'esg-trace,v1,bin_ms=<ms>,apps=<n>"
+            "[,tenants=<t>]'");
   }
-  trace.bin_ms = parse_double(line_no, "bin_ms", keyed(line_no, f[2], "bin_ms"));
-  if (trace.bin_ms <= 0.0) fail_line(line_no, "bin_ms must be positive");
-  trace.app_count =
-      parse_index(line_no, "apps", keyed(line_no, f[3], "apps"), kMaxTraceApps);
-  if (trace.app_count == 0) fail_line(line_no, "apps must be positive");
+  trace.bin_ms = keyed(at, f[2], "bin_ms").number(lex::kPositive);
+  trace.app_count = keyed(at, f[3], "apps").integer(1, kMaxTraceApps - 1);
   if (n == 5) {
-    trace.tenant_count = parse_index(
-        line_no, "tenants", keyed(line_no, f[4], "tenants"), kMaxTraceTenants);
-    if (trace.tenant_count < 2) {
-      fail_line(line_no,
-                "tenants must be >= 2 (omit the field for a single tenant)");
-    }
+    // A single tenant omits the field.
+    trace.tenant_count =
+        keyed(at, f[4], "tenants").integer(2, kMaxTraceTenants - 1);
   }
 }
 
@@ -154,8 +108,8 @@ struct JsonField {
 
 /// Parses `{"k":v,...}` with string keys and number-or-string values; no
 /// nesting, no escapes (trace content never needs them), nothing after '}'.
-std::vector<JsonField> parse_flat_object(std::size_t line_no,
-                                         std::string_view line) {
+std::vector<JsonField> parse_flat_object(const lex::Where& at) {
+  const std::string_view line = at.clause;
   std::vector<JsonField> fields;
   std::size_t pos = 0;
   const auto skip_ws = [&] {
@@ -166,7 +120,7 @@ std::vector<JsonField> parse_flat_object(std::size_t line_no,
   };
   const auto expect = [&](char c) {
     if (pos >= line.size() || line[pos] != c) {
-      fail_line(line_no, std::string("malformed JSON: expected '") + c + "'");
+      at.fail(std::string("malformed JSON: expected '") + c + "'");
     }
     ++pos;
   };
@@ -174,10 +128,10 @@ std::vector<JsonField> parse_flat_object(std::size_t line_no,
     expect('"');
     const std::size_t start = pos;
     while (pos < line.size() && line[pos] != '"') {
-      if (line[pos] == '\\') fail_line(line_no, "escapes are not supported");
+      if (line[pos] == '\\') at.fail("escapes are not supported");
       ++pos;
     }
-    if (pos >= line.size()) fail_line(line_no, "unterminated string");
+    if (pos >= line.size()) at.fail("unterminated string");
     return std::string(line.substr(start, pos++ - start));
   };
 
@@ -185,7 +139,7 @@ std::vector<JsonField> parse_flat_object(std::size_t line_no,
   expect('{');
   skip_ws();
   if (pos < line.size() && line[pos] == '}') {
-    fail_line(line_no, "empty JSON object");
+    at.fail("empty JSON object");
   }
   for (;;) {
     skip_ws();
@@ -204,11 +158,11 @@ std::vector<JsonField> parse_flat_object(std::size_t line_no,
         ++pos;
       }
       field.value = std::string(line.substr(start, pos - start));
-      if (field.value.empty()) fail_line(line_no, "missing value");
+      if (field.value.empty()) at.fail("missing value");
     }
     for (const JsonField& f : fields) {
       if (f.key == field.key) {
-        fail_line(line_no, "duplicate key '" + field.key + "'");
+        at.fail("duplicate key '" + field.key + "'");
       }
     }
     fields.push_back(std::move(field));
@@ -221,31 +175,31 @@ std::vector<JsonField> parse_flat_object(std::size_t line_no,
     break;
   }
   skip_ws();
-  if (pos != line.size()) fail_line(line_no, "trailing garbage after object");
+  if (pos != line.size()) at.fail("trailing garbage after object");
   return fields;
 }
 
-const JsonField& json_get(std::size_t line_no,
-                          const std::vector<JsonField>& fields,
-                          std::string_view key, bool string_valued) {
+/// The value of `key`, which must be present and string- or number-typed.
+lex::Field json_get(const lex::Where& at, const std::vector<JsonField>& fields,
+                    std::string_view key, bool string_valued) {
   for (const JsonField& f : fields) {
     if (f.key == key) {
       if (f.is_string != string_valued) {
-        fail_line(line_no, "key '" + std::string(key) + "' has the wrong type");
+        at.fail("key '" + std::string(key) + "' has the wrong type");
       }
-      return f;
+      return lex::Field{key, f.value, at};
     }
   }
-  fail_line(line_no, "missing key '" + std::string(key) + "'");
+  at.fail("missing key '" + std::string(key) + "'");
 }
 
-void reject_unknown_keys(std::size_t line_no,
+void reject_unknown_keys(const lex::Where& at,
                          const std::vector<JsonField>& fields,
                          std::initializer_list<std::string_view> known) {
   for (const JsonField& f : fields) {
     bool ok = false;
     for (const std::string_view k : known) ok = ok || f.key == k;
-    if (!ok) fail_line(line_no, "unknown key '" + f.key + "'");
+    if (!ok) at.fail("unknown key '" + f.key + "'");
   }
 }
 
@@ -328,29 +282,25 @@ WorkloadTrace parse_trace_csv(std::istream& in) {
   std::string raw;
   std::size_t line_no = 0;
   while (std::getline(in, raw)) {
-    ++line_no;
-    const std::string_view line = trim(raw);
-    if (line.empty() || line.front() == '#') continue;
+    const lex::Where at{kGrammar, lex::trim(raw), ++line_no};
+    if (at.clause.empty() || at.clause.front() == '#') continue;
     if (!saw_header) {
-      parse_csv_header(trace, line_no, line);
+      parse_csv_header(trace, at);
       saw_header = true;
       continue;
     }
     const bool tenanted = trace.tenant_count > 1;
     std::string_view f[4];
-    const std::size_t want = tenanted ? 4 : 3;
-    if (split_csv(line, f, 4) != want) {
-      fail_line(line_no, std::string("expected '") +
-                             (tenanted ? "bin,app,count,tenant"
-                                       : "bin,app,count") +
-                             "', got '" + std::string(line) + "'");
+    if (split_csv(at.clause, f, 4) != (tenanted ? 4u : 3u)) {
+      at.fail(tenanted ? "expected 'bin,app,count,tenant'"
+                       : "expected 'bin,app,count'");
     }
-    const std::size_t bin = parse_index(line_no, "bin", f[0], kMaxTraceBins);
-    const std::size_t app = parse_index(line_no, "app", f[1], kMaxTraceApps);
-    const double count = parse_double(line_no, "count", f[2]);
+    const std::size_t bin = index_field(at, "bin", f[0], kMaxTraceBins);
+    const std::size_t app = index_field(at, "app", f[1], kMaxTraceApps);
+    const double n = count_field(at, f[2]);
     const std::size_t tenant =
-        tenanted ? parse_index(line_no, "tenant", f[3], kMaxTraceTenants) : 0;
-    push_row(trace, line_no, bin, app, count, tenant);
+        tenanted ? index_field(at, "tenant", f[3], kMaxTraceTenants) : 0;
+    push_row(trace, at, bin, app, n, tenant);
   }
   if (!saw_header) {
     throw std::invalid_argument(
@@ -366,58 +316,47 @@ WorkloadTrace parse_trace_jsonl(std::istream& in) {
   std::string raw;
   std::size_t line_no = 0;
   while (std::getline(in, raw)) {
-    ++line_no;
-    const std::string_view line = trim(raw);
-    if (line.empty() || line.front() == '#') continue;
-    const std::vector<JsonField> fields = parse_flat_object(line_no, line);
+    const lex::Where at{kGrammar, lex::trim(raw), ++line_no};
+    if (at.clause.empty() || at.clause.front() == '#') continue;
+    const std::vector<JsonField> fields = parse_flat_object(at);
     if (!saw_header) {
-      reject_unknown_keys(line_no, fields,
-                          {"schema", "bin_ms", "apps", "tenants"});
-      const JsonField& schema = json_get(line_no, fields, "schema", true);
-      if (schema.value != kTraceSchemaV1) {
-        fail_line(line_no, "unsupported schema '" + schema.value + "'");
+      reject_unknown_keys(at, fields, {"schema", "bin_ms", "apps", "tenants"});
+      const std::string_view schema =
+          json_get(at, fields, "schema", true).value;
+      if (schema != kTraceSchemaV1) {
+        at.fail("unsupported schema '" + std::string(schema) + "'");
       }
-      trace.bin_ms = parse_double(
-          line_no, "bin_ms", json_get(line_no, fields, "bin_ms", false).value);
-      if (trace.bin_ms <= 0.0) fail_line(line_no, "bin_ms must be positive");
-      trace.app_count =
-          parse_index(line_no, "apps",
-                      json_get(line_no, fields, "apps", false).value,
-                      kMaxTraceApps);
-      if (trace.app_count == 0) fail_line(line_no, "apps must be positive");
-      for (const JsonField& f : fields) {
-        if (f.key != "tenants") continue;
-        if (f.is_string) fail_line(line_no, "key 'tenants' has the wrong type");
-        trace.tenant_count =
-            parse_index(line_no, "tenants", f.value, kMaxTraceTenants);
-        if (trace.tenant_count < 2) {
-          fail_line(line_no,
-                    "tenants must be >= 2 (omit the key for a single tenant)");
-        }
+      trace.bin_ms =
+          json_get(at, fields, "bin_ms", false).number(lex::kPositive);
+      trace.app_count = json_get(at, fields, "apps", false)
+                            .integer(1, kMaxTraceApps - 1);
+      // A single tenant omits the key.
+      const auto tenants = [](const JsonField& f) { return f.key == "tenants"; };
+      if (std::any_of(fields.begin(), fields.end(), tenants)) {
+        trace.tenant_count = json_get(at, fields, "tenants", false)
+                                 .integer(2, kMaxTraceTenants - 1);
       }
       saw_header = true;
       continue;
     }
     const bool tenanted = trace.tenant_count > 1;
     if (tenanted) {
-      reject_unknown_keys(line_no, fields, {"bin", "app", "count", "tenant"});
+      reject_unknown_keys(at, fields, {"bin", "app", "count", "tenant"});
     } else {
-      reject_unknown_keys(line_no, fields, {"bin", "app", "count"});
+      reject_unknown_keys(at, fields, {"bin", "app", "count"});
     }
+    const auto value = [&](std::string_view key) {
+      return json_get(at, fields, key, false).value;
+    };
     const std::size_t bin =
-        parse_index(line_no, "bin", json_get(line_no, fields, "bin", false).value,
-                    kMaxTraceBins);
+        index_field(at, "bin", value("bin"), kMaxTraceBins);
     const std::size_t app =
-        parse_index(line_no, "app", json_get(line_no, fields, "app", false).value,
-                    kMaxTraceApps);
-    const double count = parse_double(
-        line_no, "count", json_get(line_no, fields, "count", false).value);
+        index_field(at, "app", value("app"), kMaxTraceApps);
+    const double n = count_field(at, value("count"));
     const std::size_t tenant =
-        tenanted ? parse_index(line_no, "tenant",
-                               json_get(line_no, fields, "tenant", false).value,
-                               kMaxTraceTenants)
+        tenanted ? index_field(at, "tenant", value("tenant"), kMaxTraceTenants)
                  : 0;
-    push_row(trace, line_no, bin, app, count, tenant);
+    push_row(trace, at, bin, app, n, tenant);
   }
   if (!saw_header) {
     throw std::invalid_argument(

@@ -17,11 +17,11 @@
 // written before multi-tenancy parse (and replay) exactly as before, and
 // single-tenant traces write byte-identical files.
 //
-// The parsers are hardened with the same rigor as the --fault-spec grammar:
-// NaN/inf/negative counts, fractional or out-of-range bin/app indices,
-// unsorted or duplicate (bin, app) rows, unknown apps (>= the header's app
-// count) and malformed framing all raise std::invalid_argument with a
-// message naming the offending line.
+// The parsers check every field through common/spec_lex, the lexer the
+// spec grammars share: NaN/inf/negative counts, fractional or out-of-range
+// bin/app indices, unsorted or duplicate (bin, app) rows, unknown apps
+// (>= the header's app count) and malformed framing all raise
+// std::invalid_argument with a message naming the offending line.
 #pragma once
 
 #include <cstdint>

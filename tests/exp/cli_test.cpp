@@ -166,6 +166,42 @@ TEST(Cli, RejectsNegativeAndNonFiniteTimes) {
   EXPECT_THROW(parse({"--noise-cv", "inf"}), std::invalid_argument);
 }
 
+TEST(Cli, IntegerFlagsRejectFractionsAndOutOfRangeValues) {
+  for (const char* flag : {"--nodes", "--k", "--group-size", "--jobs",
+                           "--seeds"}) {
+    for (const char* value : {"2.5", "1e30", "1e20", "-1", "4294967295",
+                              "nan"}) {
+      EXPECT_THROW(parse({flag, value}), std::invalid_argument)
+          << flag << " " << value;
+    }
+  }
+  try {
+    (void)parse({"--nodes", "2.5"});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "--nodes must be an integer in [1, 4294967294], got '2.5'");
+  }
+}
+
+TEST(Cli, IntegerFlagsKeepIntegralSpellingsAndFullSeedRange) {
+  EXPECT_EQ(parse({"--nodes", "1e1"}).scenario.nodes, 10u);
+  EXPECT_EQ(parse({"--k", "3.0"}).scenario.esg.k, 3u);
+  EXPECT_EQ(parse({"--jobs", "4294967294"}).jobs, 4294967294u);
+  EXPECT_EQ(parse({"--seeds", "18446744073709551615,9007199254740993"}).seeds,
+            (std::vector<std::uint64_t>{18446744073709551615u,
+                                        9007199254740993u}));
+  EXPECT_THROW(parse({"--seeds", "18446744073709551616,"}),
+               std::invalid_argument);
+}
+
+TEST(Cli, ForecastSharedKeysAcceptSemicolons) {
+  const CliOptions opts =
+      parse({"--forecast", "ewma;lead-ms=1000;bin-ms=500"});
+  EXPECT_DOUBLE_EQ(opts.scenario.forecast.lead_ms, 1000.0);
+  EXPECT_DOUBLE_EQ(opts.scenario.forecast.bin_ms, 500.0);
+}
+
 TEST(Cli, FaultSpecOffByDefault) {
   EXPECT_TRUE(parse({}).scenario.fault.inert());
 }
@@ -293,6 +329,20 @@ TEST(Cli, RejectsMalformedTraceArrivals) {
       std::invalid_argument);
   EXPECT_THROW(parse({"--arrivals", "stochastic"}), std::invalid_argument);
   EXPECT_NE(cli_usage().find("--arrivals"), std::string::npos);
+}
+
+TEST(Cli, ArrivalsRejectDuplicateKeys) {
+  EXPECT_THROW(parse({"--arrivals", "bursty:calm-ms=100,calm-ms=200"}),
+               std::invalid_argument);
+  EXPECT_THROW(parse({"--arrivals", "bursty:calm=light,burst=heavy,calm=heavy"}),
+               std::invalid_argument);
+  const TempTrace trace("cli_test_trace_dup.csv");
+  EXPECT_THROW(
+      parse({"--arrivals",
+             ("trace:@" + trace.path + ",rate-scale=1,rate-scale=2").c_str()}),
+      std::invalid_argument);
+  EXPECT_THROW(parse({"--elastic", "queue:min=1,min=2"}),
+               std::invalid_argument);
 }
 
 TEST(Cli, ForecastDefaultsToInert) {

@@ -122,5 +122,32 @@ TEST(FaultSpec, LoadInlineOrFromFile) {
                std::invalid_argument);
 }
 
+TEST(FaultSpec, FileWithCrlfLineEndsAndCommentLines) {
+  const std::string path = ::testing::TempDir() + "/fault_spec_crlf.txt";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "# resilience scenario\r\n"
+           "dispatch:prob=0.1\r\n"
+           "   # indented comment\r\n"
+           "crash:invoker=2,at=100,down=50\r\n";
+  }
+  const FaultSpec spec = load_fault_spec("@" + path);
+  ASSERT_EQ(spec.dispatch.size(), 1u);
+  EXPECT_DOUBLE_EQ(spec.dispatch[0].prob, 0.1);
+  ASSERT_EQ(spec.crashes.size(), 1u);
+  EXPECT_DOUBLE_EQ(spec.crashes[0].down_ms, 50.0);
+  std::remove(path.c_str());
+}
+
+TEST(FaultSpec, ErrorsNameTheFileLineAndClause) {
+  try {
+    (void)parse_fault_spec("# header\r\ndispatch:prob=0.1\r\ncoldstart:prob=2");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "fault-spec line 3 'coldstart:prob=2': prob must be in [0, 1]");
+  }
+}
+
 }  // namespace
 }  // namespace esg::fault

@@ -118,6 +118,52 @@ TEST(ForecastSpec, FileIndirectionFoldsNewlines) {
   EXPECT_THROW((void)load_forecast_spec("@" + path), std::invalid_argument);
 }
 
+TEST(ForecastSpec, SharedKeysSplitOnSemicolonOrComma) {
+  for (const char* text : {"ewma;lead-ms=1000;bin-ms=500",
+                           "ewma;lead-ms=1000,bin-ms=500",
+                           "ewma; bin-ms=500 ;lead-ms=1000;"}) {
+    const ForecastSpec spec = parse_forecast_spec(text);
+    EXPECT_EQ(spec.kind, ForecastKind::kEwma) << text;
+    EXPECT_DOUBLE_EQ(spec.lead_ms, 1'000.0) << text;
+    EXPECT_DOUBLE_EQ(spec.bin_ms, 500.0) << text;
+    EXPECT_EQ(to_string(spec), "ewma:alpha=0.3;lead-ms=1000,bin-ms=500")
+        << text;
+  }
+  // A key repeated across the two separators is still a duplicate.
+  EXPECT_THROW((void)parse_forecast_spec("oracle;lead-ms=5;lead-ms=6"),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse_forecast_spec("oracle;lead-ms=5,bin-ms=1;bin-ms=2"),
+               std::invalid_argument);
+}
+
+TEST(ForecastSpec, FileWithCrlfCommentsAndOneKeyPerLine) {
+  const std::string path = ::testing::TempDir() + "/forecast_spec_crlf.txt";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "# learn the diurnal shape\r\n"
+           "seasonal:period-ms=60000,bins=60\r\n"
+           "lead-ms=1500\r\n"
+           "# observation bins\r\n"
+           "bin-ms=250\r\n";
+  }
+  const ForecastSpec spec = load_forecast_spec("@" + path);
+  EXPECT_EQ(spec.kind, ForecastKind::kSeasonal);
+  EXPECT_DOUBLE_EQ(spec.seasonal_period_ms, 60'000.0);
+  EXPECT_EQ(spec.seasonal_bins, 60u);
+  EXPECT_DOUBLE_EQ(spec.lead_ms, 1'500.0);
+  EXPECT_DOUBLE_EQ(spec.bin_ms, 250.0);
+  std::remove(path.c_str());
+}
+
+TEST(ForecastSpec, ErrorsNameTheLineAndClause) {
+  try {
+    (void)parse_forecast_spec("oracle\nlead-ms=5\nbin-ms=0");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "forecast-spec line 3 'bin-ms=0': bin-ms must be > 0");
+  }
+}
+
 TEST(ForecastSpec, KindNamesRoundTrip) {
   EXPECT_EQ(to_string(ForecastKind::kNone), "none");
   EXPECT_EQ(to_string(ForecastKind::kOracle), "oracle");

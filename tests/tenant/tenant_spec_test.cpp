@@ -135,6 +135,40 @@ TEST(TenantSpec, LoadsFromFileWithNewlineClauses) {
   std::remove(path.c_str());
 }
 
+TEST(TenantSpec, LoadsFileWithCrlfLineEndsAndCommentLines) {
+  const std::string path = ::testing::TempDir() + "tenants_spec_crlf.txt";
+  {
+    std::ofstream file(path, std::ios::binary);
+    file << "# two tenants, 3:1\r\n";
+    file << "gold:3:apps=0\r\n";
+    file << "# the rest\r\n";
+    file << "bronze:1:apps=1\r\n";
+    file << "throttle=30\r\n";
+  }
+  const TenantSpec spec = load_tenant_spec("@" + path);
+  ASSERT_EQ(spec.tenants.size(), 2u);
+  EXPECT_EQ(spec.tenants[1].name, "bronze");
+  EXPECT_EQ(spec.tenants[1].apps, (std::vector<std::uint32_t>{1}));
+  EXPECT_DOUBLE_EQ(spec.throttle_ms, 30.0);
+  std::remove(path.c_str());
+}
+
+TEST(TenantSpec, FileErrorsNameTheLine) {
+  const std::string path = ::testing::TempDir() + "tenants_spec_bad.txt";
+  {
+    std::ofstream file(path);
+    file << "gold:3\n# comment\ngold:1\n";
+  }
+  try {
+    (void)load_tenant_spec("@" + path);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "tenant-spec line 3 'gold:1': duplicate tenant name 'gold'");
+  }
+  std::remove(path.c_str());
+}
+
 TEST(TenantSpec, LoadRejectsUnreadableFile) {
   EXPECT_THROW(load_tenant_spec("@/no/such/tenant/file"),
                std::invalid_argument);

@@ -3,11 +3,10 @@
 // multiplicative burst episodes, Poisson-sampled to integer counts.
 // Deterministic for a given --seed, so CI and benches can regenerate
 // identical traces instead of checking in large files.
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -15,10 +14,13 @@
 
 #include "common/build_info.hpp"
 #include "common/rng.hpp"
+#include "common/spec_lex.hpp"
 #include "trace/azure_shape.hpp"
 #include "trace/workload_trace.hpp"
 
 namespace {
+
+namespace lex = esg::lex;
 
 struct Options {
   esg::trace::AzureShapeOptions shape;
@@ -64,33 +66,6 @@ exit codes: 0 success; 2 configuration error (bad flag or shape options);
 1 runtime failure (unwritable output, internal error).
 )";
 
-double parse_number(std::string_view key, std::string_view v) {
-  double out = 0.0;
-  const auto* end = v.data() + v.size();
-  const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(out)) {
-    throw std::invalid_argument("malformed value for " + std::string(key) +
-                                ": '" + std::string(v) + "'");
-  }
-  return out;
-}
-
-std::size_t parse_count(std::string_view key, std::string_view v) {
-  const double d = parse_number(key, v);
-  if (d < 0.0 || d != std::floor(d)) {
-    throw std::invalid_argument(std::string(key) +
-                                " must be a non-negative integer");
-  }
-  return static_cast<std::size_t>(d);
-}
-
-bool parse_bool(std::string_view key, std::string_view v) {
-  if (v == "on" || v == "true" || v == "1") return true;
-  if (v == "off" || v == "false" || v == "0") return false;
-  throw std::invalid_argument("malformed boolean for " + std::string(key) +
-                              ": '" + std::string(v) + "' (on|off)");
-}
-
 Options parse_args(std::span<const char* const> args) {
   Options opts;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -111,42 +86,37 @@ Options parse_args(std::span<const char* const> args) {
       throw std::invalid_argument("missing value for " + std::string(key));
     }
     const std::string_view value = args[++i];
+    const lex::Field field{key, value};
     if (key == "--apps") {
-      opts.shape.apps = parse_count(key, value);
+      opts.shape.apps = field.integer(0, lex::kMaxId);
     } else if (key == "--bins") {
-      opts.shape.bins = parse_count(key, value);
+      opts.shape.bins = field.integer(0, lex::kMaxId);
     } else if (key == "--days") {
-      opts.shape.days = parse_count(key, value);
-      if (opts.shape.days < 1) {
-        throw std::invalid_argument("--days must be >= 1");
-      }
+      opts.shape.days = field.integer(1, lex::kMaxId);
     } else if (key == "--bin-ms") {
-      opts.shape.bin_ms = parse_number(key, value);
+      opts.shape.bin_ms = field.number();
     } else if (key == "--mean-rate") {
-      opts.shape.mean_rate_per_bin = parse_number(key, value);
+      opts.shape.mean_rate_per_bin = field.number();
     } else if (key == "--diurnal-amplitude") {
-      opts.shape.diurnal_amplitude = parse_number(key, value);
+      opts.shape.diurnal_amplitude = field.number();
     } else if (key == "--diurnal-period") {
-      opts.shape.diurnal_period_bins = parse_number(key, value);
+      opts.shape.diurnal_period_bins = field.number();
     } else if (key == "--zipf-s") {
-      opts.shape.zipf_s = parse_number(key, value);
+      opts.shape.zipf_s = field.number();
     } else if (key == "--bursts") {
-      opts.shape.burst_count = parse_count(key, value);
+      opts.shape.burst_count = field.integer(0, lex::kMaxId);
     } else if (key == "--burst-factor") {
-      opts.shape.burst_factor = parse_number(key, value);
+      opts.shape.burst_factor = field.number();
     } else if (key == "--burst-fraction") {
-      opts.shape.burst_fraction = parse_number(key, value);
+      opts.shape.burst_fraction = field.number();
     } else if (key == "--fractional") {
-      opts.shape.integer_counts = !parse_bool(key, value);
+      opts.shape.integer_counts = !field.on_off();
     } else if (key == "--tenants") {
-      opts.shape.tenants = parse_count(key, value);
-      if (opts.shape.tenants < 1) {
-        throw std::invalid_argument("--tenants must be >= 1");
-      }
+      opts.shape.tenants = field.integer(1, lex::kMaxId);
     } else if (key == "--tenant-zipf") {
-      opts.shape.tenant_zipf_s = parse_number(key, value);
+      opts.shape.tenant_zipf_s = field.number();
     } else if (key == "--seed") {
-      opts.seed = static_cast<std::uint64_t>(parse_count(key, value));
+      opts.seed = field.integer(0, std::numeric_limits<std::uint64_t>::max());
     } else if (key == "--format") {
       opts.format = std::string(value);
       if (opts.format != "csv" && opts.format != "jsonl") {
