@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <thread>
 
+#include "common/json.hpp"
+
 #ifdef __unix__
 #include <sys/utsname.h>
 #endif
@@ -17,16 +19,6 @@
 namespace esg::common {
 
 namespace {
-
-/// Keeps captured strings safe to embed in a JSON string literal.
-std::string json_safe(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) continue;
-    out += c;
-  }
-  return out;
-}
 
 std::string first_line_of(const char* command) {
   std::string out;
@@ -110,10 +102,10 @@ void write_build_info(std::FILE* out, const std::string& tool) {
 
 std::string meta_json_object() {
   const BuildInfo info = build_info();
-  std::string out = "{\"host\": \"" + json_safe(info.host) + "\", ";
-  out += "\"kernel\": \"" + json_safe(info.kernel) + "\", ";
+  std::string out = "{\"host\": \"" + json::escape(info.host) + "\", ";
+  out += "\"kernel\": \"" + json::escape(info.kernel) + "\", ";
   out += "\"cpus\": " + std::to_string(info.cpus) + ", ";
-  out += "\"commit\": \"" + json_safe(info.commit) + "\"}";
+  out += "\"commit\": \"" + json::escape(info.commit) + "\"}";
   return out;
 }
 

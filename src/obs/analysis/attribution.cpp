@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "obs/trace_event.hpp"
@@ -494,7 +495,7 @@ void write_report_json(const AttributionReport& report, std::ostream& out) {
     for (std::size_t i = 0; i < report.tenants.size(); ++i) {
       const TenantReport& t = report.tenants[i];
       if (i > 0) out << ",";
-      out << "{\"tenant\":\"" << t.tenant << "\"";
+      out << "{\"tenant\":\"" << json::escape(t.tenant) << "\"";
       out << ",\"requests\":" << t.requests;
       out << ",\"misses\":" << t.misses;
       out << ",\"hit_rate\":" << fmt(t.hit_rate());

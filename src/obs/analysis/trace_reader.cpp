@@ -1,258 +1,44 @@
 #include "obs/analysis/trace_reader.hpp"
 
-#include <cctype>
-#include <cstdlib>
+#include <cmath>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <variant>
+
+#include "common/json.hpp"
 
 namespace esg::obs::analysis {
 
 namespace {
 
-// Minimal recursive-descent JSON reader, just enough DOM to walk the event
-// array our own sink wrote. Numbers stay as their source text so timestamps
-// can be converted with the same strtod the determinism contract assumes.
-struct JsonValue;
-using JsonObject = std::map<std::string, JsonValue, std::less<>>;
-using JsonArray = std::vector<JsonValue>;
+using json::Value;
 
-struct JsonValue {
-  // string holds both JSON strings (unescaped) and numbers (raw text);
-  // which one it is is tracked by `kind`.
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  std::string text;
-  std::shared_ptr<JsonArray> array;
-  std::shared_ptr<JsonObject> object;
-};
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  JsonValue parse() {
-    skip_ws();
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing garbage after JSON value");
-    return v;
-  }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    // 1-based line number of pos_, so errors in multi-megabyte traces are
-    // actionable without a byte-offset calculator.
-    std::size_t line = 1;
-    for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-      if (text_[i] == '\n') ++line;
-    }
-    throw std::invalid_argument("trace_reader: " + what + " at line " +
-                                std::to_string(line) + ", byte " +
-                                std::to_string(pos_));
-  }
-  [[nodiscard]] bool eof() const { return pos_ >= text_.size(); }
-  [[nodiscard]] char peek() const { return eof() ? '\0' : text_[pos_]; }
-  void skip_ws() {
-    while (!eof() && std::isspace(static_cast<unsigned char>(peek()))) ++pos_;
-  }
-  void expect(char c) {
-    if (eof() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  JsonValue value() {
-    switch (peek()) {
-      case '{':
-        return object();
-      case '[':
-        return array();
-      case '"':
-        return string();
-      case 't':
-      case 'f':
-        return boolean();
-      case 'n':
-        literal("null");
-        return JsonValue{};
-      default:
-        return number();
-    }
-  }
-
-  void literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) {
-      fail("bad literal");
-    }
-    pos_ += lit.size();
-  }
-
-  JsonValue boolean() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    if (peek() == 't') {
-      literal("true");
-      v.boolean = true;
-    } else {
-      literal("false");
-      v.boolean = false;
-    }
-    return v;
-  }
-
-  JsonValue number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (!eof()) {
-      const char c = peek();
-      if (std::isdigit(static_cast<unsigned char>(c)) || c == '.' ||
-          c == 'e' || c == 'E' || c == '+' || c == '-') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) fail("expected a value");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    v.text = std::string(text_.substr(start, pos_ - start));
-    return v;
-  }
-
-  JsonValue string() {
-    expect('"');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kString;
-    while (true) {
-      if (eof()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return v;
-      if (c != '\\') {
-        v.text += c;
-        continue;
-      }
-      if (eof()) fail("unterminated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': v.text += '"'; break;
-        case '\\': v.text += '\\'; break;
-        case '/': v.text += '/'; break;
-        case 'b': v.text += '\b'; break;
-        case 'f': v.text += '\f'; break;
-        case 'n': v.text += '\n'; break;
-        case 'r': v.text += '\r'; break;
-        case 't': v.text += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad \\u escape");
-            }
-          }
-          // Our sink only \u-escapes control characters, which are all
-          // single-byte; anything else is preserved as-is best effort.
-          v.text += static_cast<char>(code & 0xff);
-          break;
-        }
-        default:
-          fail("bad escape");
-      }
-    }
-  }
-
-  JsonValue array() {
-    expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    v.array = std::make_shared<JsonArray>();
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      v.array->push_back(value());
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-        return v;
-      }
-      expect(',');
-    }
-  }
-
-  JsonValue object() {
-    expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    v.object = std::make_shared<JsonObject>();
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      JsonValue key = string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      // map::emplace keeps the first value, which would *silently drop* a
-      // duplicated column — corrupt input must be rejected, not smoothed.
-      const auto [it, inserted] =
-          v.object->emplace(std::move(key.text), value());
-      if (!inserted) {
-        fail("duplicate object key '" + it->first + "'");
-      }
-      skip_ws();
-      if (peek() == '}') {
-        ++pos_;
-        return v;
-      }
-      expect(',');
-    }
-  }
-};
-
-const JsonValue* find(const JsonValue& obj, std::string_view key) {
-  if (obj.kind != JsonValue::Kind::kObject) return nullptr;
-  auto it = obj.object->find(key);
-  return it == obj.object->end() ? nullptr : &it->second;
-}
-
-std::string_view text_of(const JsonValue* v) {
+std::string_view text_of(const Value* v) {
   return v == nullptr ? std::string_view{} : std::string_view(v->text);
 }
 
-double number_of(const JsonValue* v, double fallback = 0.0) {
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return fallback;
-  return std::strtod(v->text.c_str(), nullptr);
+/// Absent and non-numeric fields read as 0, as they always have.
+double number_of(const Value* v) {
+  return v != nullptr && v->kind == Value::Kind::kNumber ? v->number : 0.0;
 }
 
-ArgList args_of(const JsonValue& event) {
+/// A pid or tid: absent reads as 0; present, it must be a uint32.
+std::uint32_t id_of(const json::Reader& in, const Value& event,
+                    std::string_view key) {
+  const Value* v = event.find(key);
+  if (v == nullptr) return 0;
+  if (v->kind != Value::Kind::kNumber || v->number < 0.0 ||
+      v->number > 4294967295.0 || std::trunc(v->number) != v->number) {
+    in.fail("event " + std::string(key) + " is not a uint32");
+  }
+  return static_cast<std::uint32_t>(v->number);
+}
+
+ArgList args_of(const Value& event) {
   ArgList out;
-  const JsonValue* args = find(event, "args");
-  if (args == nullptr || args->kind != JsonValue::Kind::kObject) return out;
-  for (const auto& [key, val] : *args->object) {
+  const Value* args = event.find("args");
+  if (args == nullptr || args->kind != Value::Kind::kObject) return out;
+  for (const auto& [key, val] : args->members) {
     // Arg values are serialized as strings by our sink; tolerate numbers
     // from hand-edited traces by keeping their source text.
     out.emplace_back(key, val.text);
@@ -260,9 +46,41 @@ ArgList args_of(const JsonValue& event) {
   return out;
 }
 
-Track track_of(const JsonValue& event) {
-  return Track{static_cast<std::uint32_t>(number_of(find(event, "pid"))),
-               static_cast<std::uint32_t>(number_of(find(event, "tid")))};
+/// Keeps a complete ("X") or instant ("i") event whose category this build
+/// knows; metadata ("M") and counter ("C") events carry nothing the passes
+/// consume.
+void add_event(const json::Reader& in, const Value& event,
+               TraceDataset& out) {
+  const std::string_view ph = text_of(event.find("ph"));
+  const std::string_view cat = text_of(event.find("cat"));
+  if (ph == "X") {
+    const auto kind = span_kind_from_string(cat);
+    if (!kind.has_value()) return;
+    Span span;
+    span.kind = *kind;
+    span.name = std::string(text_of(event.find("name")));
+    span.track = Track{id_of(in, event, "pid"), id_of(in, event, "tid")};
+    span.start_ms = number_of(event.find("ts")) / 1000.0;
+    span.end_ms = span.start_ms + number_of(event.find("dur")) / 1000.0;
+    span.args = args_of(event);
+    out.spans.push_back(std::move(span));
+  } else if (ph == "i") {
+    const auto kind = instant_kind_from_string(cat);
+    if (!kind.has_value()) return;
+    Instant instant;
+    instant.kind = *kind;
+    instant.name = std::string(text_of(event.find("name")));
+    instant.track = Track{id_of(in, event, "pid"), id_of(in, event, "tid")};
+    instant.at_ms = number_of(event.find("ts")) / 1000.0;
+    instant.args = args_of(event);
+    out.instants.push_back(std::move(instant));
+  }
+}
+
+/// Walks the event array at the cursor, holding one event at a time.
+void read_events(json::Reader& in, TraceDataset& out) {
+  in.enter('[');
+  while (in.next()) add_event(in, in.value(), out);
 }
 
 }  // namespace
@@ -270,48 +88,29 @@ Track track_of(const JsonValue& event) {
 TraceDataset read_chrome_trace(std::istream& in) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const std::string text = buffer.str();
+  const std::string text = std::move(buffer).str();
 
-  Parser parser(text);
-  const JsonValue root = parser.parse();
-  const JsonArray* events = nullptr;
-  if (root.kind == JsonValue::Kind::kArray) {
-    events = root.array.get();
-  } else if (const JsonValue* te = find(root, "traceEvents");
-             te != nullptr && te->kind == JsonValue::Kind::kArray) {
-    events = te->array.get();  // the object-wrapped flavour of the format
-  } else {
-    throw std::invalid_argument("trace_reader: not a trace-event array");
-  }
-
+  json::Reader reader(text, "trace_reader");
   TraceDataset dataset;
-  for (const JsonValue& event : *events) {
-    const std::string_view ph = text_of(find(event, "ph"));
-    const std::string_view cat = text_of(find(event, "cat"));
-    if (ph == "X") {
-      const auto kind = span_kind_from_string(cat);
-      if (!kind.has_value()) continue;
-      Span span;
-      span.kind = *kind;
-      span.name = std::string(text_of(find(event, "name")));
-      span.track = track_of(event);
-      span.start_ms = number_of(find(event, "ts")) / 1000.0;
-      span.end_ms = span.start_ms + number_of(find(event, "dur")) / 1000.0;
-      span.args = args_of(event);
-      dataset.spans.push_back(std::move(span));
-    } else if (ph == "i") {
-      const auto kind = instant_kind_from_string(cat);
-      if (!kind.has_value()) continue;
-      Instant instant;
-      instant.kind = *kind;
-      instant.name = std::string(text_of(find(event, "name")));
-      instant.track = track_of(event);
-      instant.at_ms = number_of(find(event, "ts")) / 1000.0;
-      instant.args = args_of(event);
-      dataset.instants.push_back(std::move(instant));
+  bool found = false;
+  if (reader.peek() == '[') {
+    read_events(reader, dataset);
+    found = true;
+  } else if (reader.peek() == '{') {
+    // The object-wrapped flavour of the format; other members are checked
+    // and dropped.
+    reader.enter('{');
+    while (reader.next()) {
+      if (reader.key() == "traceEvents" && reader.peek() == '[') {
+        read_events(reader, dataset);
+        found = true;
+      } else {
+        (void)reader.value();
+      }
     }
-    // "M" (metadata) and "C" (counters) carry nothing the passes consume.
   }
+  if (!found) reader.fail("not a trace-event array");
+  reader.finish();
   return dataset;
 }
 

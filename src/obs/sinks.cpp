@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/json.hpp"
+
 namespace esg::obs {
 
 namespace {
@@ -36,36 +38,7 @@ std::string render_args(const ArgList& args) {
 
 }  // namespace
 
-std::string json_escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+std::string json_escape(std::string_view raw) { return json::escape(raw); }
 
 std::size_t MemorySink::count(SpanKind kind) const {
   return static_cast<std::size_t>(

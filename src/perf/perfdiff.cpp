@@ -1,210 +1,19 @@
 #include "perf/perfdiff.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
+
+#include "common/json.hpp"
 
 namespace esg::perf {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader. The artefacts we diff are machine-written, but the
-// parser still rejects malformed input with a position so a truncated or
-// hand-edited baseline fails loudly (exit 2) instead of diffing garbage.
-// Member order is preserved: it determines the stable flattened-path order.
-// ---------------------------------------------------------------------------
-
-struct Json {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<Json> array;
-  std::vector<std::pair<std::string, Json>> object;
-};
-
-class Parser {
- public:
-  Parser(const std::string& text, const std::string& label)
-      : text_(text), label_(label) {}
-
-  Json parse() {
-    Json v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument(label_ + ": malformed JSON at offset " +
-                                std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool consume_word(const char* word) {
-    const std::size_t len = std::string(word).size();
-    if (text_.compare(pos_, len, word) == 0) {
-      pos_ += len;
-      return true;
-    }
-    return false;
-  }
-
-  Json value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      Json v;
-      v.kind = Json::Kind::kString;
-      v.string = string_literal();
-      return v;
-    }
-    if (consume_word("true")) {
-      Json v;
-      v.kind = Json::Kind::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume_word("false")) {
-      Json v;
-      v.kind = Json::Kind::kBool;
-      return v;
-    }
-    if (consume_word("null")) return Json{};
-    return number();
-  }
-
-  std::string string_literal() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'u':
-            // Artefact strings are json_safe'd ASCII; keep the escape verbatim.
-            if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-            out += "\\u" + text_.substr(pos_, 4);
-            pos_ += 4;
-            break;
-          default: fail("unknown escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-  }
-
-  Json number() {
-    const std::size_t start = pos_;
-    if (consume('-')) {}
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a value");
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0' || !std::isfinite(v)) {
-      fail("invalid number '" + token + "'");
-    }
-    Json out;
-    out.kind = Json::Kind::kNumber;
-    out.number = v;
-    return out;
-  }
-
-  Json array() {
-    expect('[');
-    Json v;
-    v.kind = Json::Kind::kArray;
-    skip_ws();
-    if (consume(']')) return v;
-    for (;;) {
-      v.array.push_back(value());
-      skip_ws();
-      if (consume(']')) return v;
-      expect(',');
-    }
-  }
-
-  Json object() {
-    expect('{');
-    Json v;
-    v.kind = Json::Kind::kObject;
-    skip_ws();
-    if (consume('}')) return v;
-    for (;;) {
-      skip_ws();
-      std::string key = string_literal();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key), value());
-      skip_ws();
-      if (consume('}')) return v;
-      expect(',');
-    }
-  }
-
-  const std::string& text_;
-  std::string label_;
-  std::size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Flattening
-// ---------------------------------------------------------------------------
+using json::Value;
 
 std::string trim_number(double v) {
   std::string s = std::to_string(v);
@@ -218,20 +27,20 @@ std::string trim_number(double v) {
 /// Stable identity for an array element: its string members plus
 /// rate_scale/seed (numbers our artefacts use as identifiers), else the
 /// element index.
-std::string element_key(const Json& element, std::size_t index) {
-  if (element.kind != Json::Kind::kObject) return std::to_string(index);
+std::string element_key(const Value& element, std::size_t index) {
+  if (element.kind != Value::Kind::kObject) return std::to_string(index);
   std::string key;
-  for (const auto& [name, member] : element.object) {
+  for (const auto& [name, member] : element.members) {
     // "engine" is informational provenance, not identity: both engines
     // produce byte-identical runs by contract, so rows stay comparable
     // against baselines written before the field existed.
     if (name == "engine") continue;
-    const bool id_number = member.kind == Json::Kind::kNumber &&
+    const bool id_number = member.kind == Value::Kind::kNumber &&
                            (name == "rate_scale" || name == "seed");
-    if (member.kind != Json::Kind::kString && !id_number) continue;
+    if (member.kind != Value::Kind::kString && !id_number) continue;
     if (!key.empty()) key += ",";
     key += name + "=" +
-           (id_number ? trim_number(member.number) : member.string);
+           (id_number ? trim_number(member.number) : member.text);
   }
   return key.empty() ? std::to_string(index) : key;
 }
@@ -241,19 +50,19 @@ struct Leaf {
   double value;
 };
 
-void flatten(const Json& v, const std::string& path, std::vector<Leaf>& out) {
+void flatten(const Value& v, const std::string& path, std::vector<Leaf>& out) {
   switch (v.kind) {
-    case Json::Kind::kNumber:
+    case Value::Kind::kNumber:
       out.push_back({path, v.number});
       break;
-    case Json::Kind::kObject:
-      for (const auto& [name, member] : v.object) {
+    case Value::Kind::kObject:
+      for (const auto& [name, member] : v.members) {
         flatten(member, path.empty() ? name : path + "." + name, out);
       }
       break;
-    case Json::Kind::kArray:
-      for (std::size_t i = 0; i < v.array.size(); ++i) {
-        flatten(v.array[i], path + "[" + element_key(v.array[i], i) + "]", out);
+    case Value::Kind::kArray:
+      for (std::size_t i = 0; i < v.items.size(); ++i) {
+        flatten(v.items[i], path + "[" + element_key(v.items[i], i) + "]", out);
       }
       break;
     default:
@@ -287,8 +96,8 @@ bool is_meta(const std::string& path) {
 DiffResult diff_json(const std::string& baseline_text,
                      const std::string& current_text,
                      const DiffOptions& options) {
-  const Json baseline = Parser(baseline_text, "baseline").parse();
-  const Json current = Parser(current_text, "current").parse();
+  const Value baseline = json::parse(baseline_text, "baseline");
+  const Value current = json::parse(current_text, "current");
 
   std::vector<Leaf> base_leaves;
   std::vector<Leaf> cur_leaves;

@@ -48,7 +48,8 @@ struct DiffResult {
 };
 
 /// Diffs two parsed-from-text documents. Throws std::invalid_argument on
-/// malformed JSON (message includes the offending side and position).
+/// malformed JSON, a key repeated within one object included (the message
+/// names the side, line and byte).
 [[nodiscard]] DiffResult diff_json(const std::string& baseline_text,
                                    const std::string& current_text,
                                    const DiffOptions& options);

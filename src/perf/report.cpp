@@ -3,20 +3,12 @@
 #include <string>
 
 #include "common/build_info.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 
 namespace esg::perf {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) continue;
-    out += c;
-  }
-  return out;
-}
 
 double events_per_sec(const RunInfo& run, const Counters& counters) {
   if (run.wall_seconds <= 0.0) return 0.0;
@@ -54,7 +46,7 @@ void write_perf_json(std::FILE* out, const RunInfo& run, const Counters& counter
                "\"simulated_ms\": %.3f, \"wall_seconds\": %.6f, "
                "\"invocations\": %llu, \"events_per_sec\": %.3f, "
                "\"invocations_per_sec\": %.3f},\n",
-               json_escape(run.scheduler).c_str(),
+               json::escape(run.scheduler).c_str(),
                static_cast<unsigned long long>(run.seed), run.simulated_ms,
                run.wall_seconds,
                static_cast<unsigned long long>(run.invocations),
@@ -74,7 +66,7 @@ void write_perf_json(std::FILE* out, const RunInfo& run, const Counters& counter
                  "%s\n    {\"path\": \"%s\", \"depth\": %d, \"calls\": %llu, "
                  "\"total_ns\": %llu, \"self_ns\": %llu, \"min_ns\": %llu, "
                  "\"max_ns\": %llu, \"mean_ns\": %.1f, \"p99_ns\": %.1f}",
-                 i == 0 ? "" : ",", json_escape(s.path).c_str(), s.depth,
+                 i == 0 ? "" : ",", json::escape(s.path).c_str(), s.depth,
                  static_cast<unsigned long long>(s.calls),
                  static_cast<unsigned long long>(s.total_ns),
                  static_cast<unsigned long long>(s.self_ns),

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/json.hpp"
 #include "common/spec_lex.hpp"
 
 namespace esg::trace {
@@ -17,6 +18,8 @@ namespace esg::trace {
 namespace {
 
 constexpr std::string_view kGrammar = "workload-trace";
+
+using Kind = json::Value::Kind;
 
 /// Index field `key` of a row, checked against its exclusive bound.
 std::size_t index_field(const lex::Where& at, std::string_view key,
@@ -98,108 +101,35 @@ void parse_csv_header(WorkloadTrace& trace, const lex::Where& at) {
   }
 }
 
-// --- minimal strict flat-JSON-object reader (one object per line) ---------
-
-struct JsonField {
-  std::string key;
-  std::string value;  ///< raw number text, or unquoted string content
-  bool is_string = false;
-};
-
-/// Parses `{"k":v,...}` with string keys and number-or-string values; no
-/// nesting, no escapes (trace content never needs them), nothing after '}'.
-std::vector<JsonField> parse_flat_object(const lex::Where& at) {
-  const std::string_view line = at.clause;
-  std::vector<JsonField> fields;
-  std::size_t pos = 0;
-  const auto skip_ws = [&] {
-    while (pos < line.size() &&
-           (line[pos] == ' ' || line[pos] == '\t')) {
-      ++pos;
-    }
-  };
-  const auto expect = [&](char c) {
-    if (pos >= line.size() || line[pos] != c) {
-      at.fail(std::string("malformed JSON: expected '") + c + "'");
-    }
-    ++pos;
-  };
-  const auto quoted = [&]() -> std::string {
-    expect('"');
-    const std::size_t start = pos;
-    while (pos < line.size() && line[pos] != '"') {
-      if (line[pos] == '\\') at.fail("escapes are not supported");
-      ++pos;
-    }
-    if (pos >= line.size()) at.fail("unterminated string");
-    return std::string(line.substr(start, pos++ - start));
-  };
-
-  skip_ws();
-  expect('{');
-  skip_ws();
-  if (pos < line.size() && line[pos] == '}') {
-    at.fail("empty JSON object");
+/// One JSONL line, which must be a JSON object.
+json::Value parse_object(const lex::Where& at) {
+  json::Value line;
+  try {
+    line = json::parse(at.clause, "malformed JSON");
+  } catch (const std::invalid_argument& e) {
+    at.fail(e.what());
   }
-  for (;;) {
-    skip_ws();
-    JsonField field;
-    field.key = quoted();
-    skip_ws();
-    expect(':');
-    skip_ws();
-    if (pos < line.size() && line[pos] == '"') {
-      field.value = quoted();
-      field.is_string = true;
-    } else {
-      const std::size_t start = pos;
-      while (pos < line.size() && line[pos] != ',' && line[pos] != '}' &&
-             line[pos] != ' ' && line[pos] != '\t') {
-        ++pos;
-      }
-      field.value = std::string(line.substr(start, pos - start));
-      if (field.value.empty()) at.fail("missing value");
-    }
-    for (const JsonField& f : fields) {
-      if (f.key == field.key) {
-        at.fail("duplicate key '" + field.key + "'");
-      }
-    }
-    fields.push_back(std::move(field));
-    skip_ws();
-    if (pos < line.size() && line[pos] == ',') {
-      ++pos;
-      continue;
-    }
-    expect('}');
-    break;
-  }
-  skip_ws();
-  if (pos != line.size()) at.fail("trailing garbage after object");
-  return fields;
+  if (line.kind != Kind::kObject) at.fail("expected a JSON object");
+  return line;
 }
 
-/// The value of `key`, which must be present and string- or number-typed.
-lex::Field json_get(const lex::Where& at, const std::vector<JsonField>& fields,
-                    std::string_view key, bool string_valued) {
-  for (const JsonField& f : fields) {
-    if (f.key == key) {
-      if (f.is_string != string_valued) {
-        at.fail("key '" + std::string(key) + "' has the wrong type");
-      }
-      return lex::Field{key, f.value, at};
-    }
+/// The value of `key`, which must be present and of the given kind.
+lex::Field json_get(const lex::Where& at, const json::Value& row,
+                    std::string_view key, Kind kind) {
+  const json::Value* v = row.find(key);
+  if (v == nullptr) at.fail("missing key '" + std::string(key) + "'");
+  if (v->kind != kind) {
+    at.fail("key '" + std::string(key) + "' has the wrong type");
   }
-  at.fail("missing key '" + std::string(key) + "'");
+  return lex::Field{key, v->text, at};
 }
 
-void reject_unknown_keys(const lex::Where& at,
-                         const std::vector<JsonField>& fields,
+void reject_unknown_keys(const lex::Where& at, const json::Value& row,
                          std::initializer_list<std::string_view> known) {
-  for (const JsonField& f : fields) {
-    bool ok = false;
-    for (const std::string_view k : known) ok = ok || f.key == k;
-    if (!ok) at.fail("unknown key '" + f.key + "'");
+  for (const json::Member& m : row.members) {
+    if (std::find(known.begin(), known.end(), m.first) == known.end()) {
+      at.fail("unknown key '" + m.first + "'");
+    }
   }
 }
 
@@ -318,22 +248,21 @@ WorkloadTrace parse_trace_jsonl(std::istream& in) {
   while (std::getline(in, raw)) {
     const lex::Where at{kGrammar, lex::trim(raw), ++line_no};
     if (at.clause.empty() || at.clause.front() == '#') continue;
-    const std::vector<JsonField> fields = parse_flat_object(at);
+    const json::Value row = parse_object(at);
     if (!saw_header) {
-      reject_unknown_keys(at, fields, {"schema", "bin_ms", "apps", "tenants"});
+      reject_unknown_keys(at, row, {"schema", "bin_ms", "apps", "tenants"});
       const std::string_view schema =
-          json_get(at, fields, "schema", true).value;
+          json_get(at, row, "schema", Kind::kString).value;
       if (schema != kTraceSchemaV1) {
         at.fail("unsupported schema '" + std::string(schema) + "'");
       }
       trace.bin_ms =
-          json_get(at, fields, "bin_ms", false).number(lex::kPositive);
-      trace.app_count = json_get(at, fields, "apps", false)
+          json_get(at, row, "bin_ms", Kind::kNumber).number(lex::kPositive);
+      trace.app_count = json_get(at, row, "apps", Kind::kNumber)
                             .integer(1, kMaxTraceApps - 1);
       // A single tenant omits the key.
-      const auto tenants = [](const JsonField& f) { return f.key == "tenants"; };
-      if (std::any_of(fields.begin(), fields.end(), tenants)) {
-        trace.tenant_count = json_get(at, fields, "tenants", false)
+      if (row.find("tenants") != nullptr) {
+        trace.tenant_count = json_get(at, row, "tenants", Kind::kNumber)
                                  .integer(2, kMaxTraceTenants - 1);
       }
       saw_header = true;
@@ -341,12 +270,12 @@ WorkloadTrace parse_trace_jsonl(std::istream& in) {
     }
     const bool tenanted = trace.tenant_count > 1;
     if (tenanted) {
-      reject_unknown_keys(at, fields, {"bin", "app", "count", "tenant"});
+      reject_unknown_keys(at, row, {"bin", "app", "count", "tenant"});
     } else {
-      reject_unknown_keys(at, fields, {"bin", "app", "count"});
+      reject_unknown_keys(at, row, {"bin", "app", "count"});
     }
     const auto value = [&](std::string_view key) {
-      return json_get(at, fields, key, false).value;
+      return json_get(at, row, key, Kind::kNumber).value;
     };
     const std::size_t bin =
         index_field(at, "bin", value("bin"), kMaxTraceBins);

@@ -17,11 +17,13 @@
 // written before multi-tenancy parse (and replay) exactly as before, and
 // single-tenant traces write byte-identical files.
 //
-// The parsers check every field through common/spec_lex, the lexer the
-// spec grammars share: NaN/inf/negative counts, fractional or out-of-range
-// bin/app indices, unsorted or duplicate (bin, app) rows, unknown apps
-// (>= the header's app count) and malformed framing all raise
-// std::invalid_argument with a message naming the offending line.
+// Each JSONL line is one common/json document, so JSON string escapes are
+// decoded and repeated keys rejected. The parsers check every field through
+// common/spec_lex, the lexer the spec grammars share: NaN/inf/negative
+// counts, fractional or out-of-range bin/app indices, unsorted or duplicate
+// (bin, app) rows, unknown apps (>= the header's app count) and malformed
+// framing all raise std::invalid_argument with a message naming the
+// offending line.
 #pragma once
 
 #include <cstdint>

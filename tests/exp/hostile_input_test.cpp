@@ -1,9 +1,11 @@
 // Hostile input: a seeded mutation test over the five spec grammars
-// (--fault-spec, --elastic, --tenants, --forecast, --arrivals) and both
-// esg.trace.v1 encodings. Each mutant of a valid input either parses or
+// (--fault-spec, --elastic, --tenants, --forecast, --arrivals), both
+// esg.trace.v1 encodings, the Chrome trace esg_report reads and the perf
+// JSON esg_perfdiff reads. Each mutant of a valid input either parses or
 // throws std::invalid_argument; anything else fails. Under ESG_SANITIZE the
 // same run checks that no mutant reads out of bounds or casts an
-// out-of-range number.
+// out-of-range number. A last row is differential: every mutant common/json
+// accepts must also pass the independent validator in tests/obs/mini_json.hpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,10 +19,14 @@
 #include <string>
 #include <vector>
 
+#include "../obs/mini_json.hpp"
+#include "common/json.hpp"
 #include "elastic/elastic_spec.hpp"
 #include "exp/cli.hpp"
 #include "fault/fault_spec.hpp"
 #include "forecast/forecast_spec.hpp"
+#include "obs/analysis/trace_reader.hpp"
+#include "perf/perfdiff.hpp"
 #include "tenant/tenant_spec.hpp"
 #include "trace/workload_trace.hpp"
 
@@ -72,7 +78,9 @@ class Mutator {
         if (eq == std::string::npos) break;
         const std::size_t begin = s.find_last_of(",;:\n", eq) + 1;
         const std::size_t end = std::min(s.find_first_of(",;\n", eq), s.size());
-        s.insert(end, "," + s.substr(begin, end - begin));
+        std::string item = ",";
+        item.append(s, begin, end - begin);
+        s.insert(end, item);
         break;
       }
       case 4:
@@ -109,6 +117,37 @@ struct Grammar {
   std::vector<std::string> seeds;
   std::function<void(const std::string&)> parse;
 };
+
+constexpr const char* kChromeTrace =
+    "[\n"
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+    "\"args\":{\"name\":\"controller\"}},\n"
+    "{\"name\":\"req 7 (app 2)\",\"cat\":\"request\",\"ph\":\"X\","
+    "\"ts\":49803.270,\"dur\":1200.125,\"pid\":2,\"tid\":7,"
+    "\"args\":{\"app\":\"2\",\"slo_ms\":\"1161.600000\"}},\n"
+    "{\"name\":\"budget replan\",\"cat\":\"budget_replan\",\"ph\":\"i\","
+    "\"s\":\"t\",\"ts\":49803.270,\"pid\":1,\"tid\":0,"
+    "\"args\":{\"app\":\"2\",\"stage\":\"0\",\"budget_ms\":\"1151.0\"}},\n"
+    "{\"name\":\"used_vcpus\",\"ph\":\"C\",\"ts\":0.000,\"pid\":100,"
+    "\"tid\":0,\"args\":{\"value\":4}}\n"
+    "]\n";
+
+constexpr const char* kPerfJson =
+    "{\n  \"schema\": \"esg.perf.v1\",\n"
+    "  \"meta\": {\"host\": \"vm\", \"kernel\": \"Linux 6.1\", \"cpus\": 4, "
+    "\"commit\": \"abc1234\"},\n"
+    "  \"run\": {\"scheduler\": \"esg\", \"seed\": 42, \"simulated_ms\": "
+    "2000.000, \"wall_seconds\": 0.012500, \"events_per_sec\": 1.5e5},\n"
+    "  \"counters\": {\"events_fired\": 1875, \"plans\": 12},\n"
+    "  \"profile\": [\n    {\"path\": \"sim.run\", \"depth\": 0, "
+    "\"calls\": 1, \"mean_ns\": 12.5}]\n}\n";
+
+constexpr const char* kBenchJson =
+    "{\"meta\": {\"cpus\": 1}, \"horizon_ms\": 60000, \"rows\": [\n"
+    "  {\"scheduler\": \"esg\", \"rate_scale\": 10, \"events_per_sec\": "
+    "108500.5, \"truncated\": false, \"note\": null},\n"
+    "  {\"scheduler\": \"orion\", \"rate_scale\": 1, \"events_per_sec\": -0.0,"
+    " \"tags\": [\"a\\\"b\", \"\\u00e9\"]}]}";
 
 TEST(HostileInput, EveryMutantParsesOrThrowsInvalidArgument) {
   const std::string trace_path =
@@ -160,6 +199,28 @@ TEST(HostileInput, EveryMutantParsesOrThrowsInvalidArgument) {
        [](const std::string& s) {
          std::istringstream in(s);
          (void)trace::parse_trace_jsonl(in);
+       }},
+      {"chrome trace",
+       {kChromeTrace,
+        std::string("{\"traceEvents\":") + kChromeTrace +
+            ",\"displayTimeUnit\":\"ms\"}"},
+       [](const std::string& s) {
+         std::istringstream in(s);
+         (void)obs::analysis::read_chrome_trace(in);
+       }},
+      {"perf json",
+       {kPerfJson, kBenchJson},
+       [](const std::string& s) {
+         (void)perf::diff_json(s, s, perf::DiffOptions{});
+       }},
+      {"json vs mini_json",
+       {kChromeTrace, kPerfJson, kBenchJson,
+        "{\"schema\":\"esg.trace.v1\",\"bin_ms\":250,\"apps\":2}"},
+       [](const std::string& s) {
+         (void)json::parse(s, "mutant");
+         if (!test_json::is_valid_json(s)) {
+           throw std::logic_error("accepted, but mini_json rejects it");
+         }
        }},
   };
 

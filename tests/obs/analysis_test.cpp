@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/json.hpp"
 #include "exp/scenario.hpp"
 #include "obs/analysis/attribution.hpp"
 #include "obs/analysis/critical_path.hpp"
@@ -17,6 +18,7 @@
 #include "obs/analysis/trace_reader.hpp"
 #include "obs/recorder.hpp"
 #include "obs/sinks.hpp"
+#include "tenant/tenant_spec.hpp"
 
 namespace esg {
 namespace {
@@ -210,6 +212,130 @@ TEST(Analysis, OnlineAndOfflineReportsAreByteIdentical) {
   EXPECT_EQ(online_json, offline_json);
   EXPECT_NE(online_json.find("\"schema\":\"esg.attribution.v1\""),
             std::string::npos);
+}
+
+TEST(Analysis, ReportJsonMeetsItsSchema) {
+  // The report contract downstream tools read: schema tag, every request
+  // reconstructed, and the miss causes accounting for every miss.
+  for (const exp::Scenario& scenario :
+       {small_scenario(), overloaded_scenario()}) {
+    const json::Value report = json::parse(
+        report_json(obs::analysis::build_report(run_with_analysis(scenario))),
+        "report");
+    const json::Value* schema = report.find("schema");
+    ASSERT_NE(schema, nullptr);
+    EXPECT_EQ(schema->text, "esg.attribution.v1");
+    const json::Value* requests = report.find("requests");
+    ASSERT_NE(requests, nullptr);
+    EXPECT_GT(requests->number, 0.0);
+    const json::Value* unreconstructed = report.find("unreconstructed");
+    ASSERT_NE(unreconstructed, nullptr);
+    EXPECT_EQ(unreconstructed->number, 0.0);
+    const json::Value* misses = report.find("misses");
+    const json::Value* causes = report.find("miss_causes");
+    ASSERT_NE(misses, nullptr);
+    ASSERT_NE(causes, nullptr);
+    ASSERT_EQ(causes->kind, json::Value::Kind::kObject);
+    double cause_total = 0.0;
+    for (const json::Member& cause : causes->members) {
+      cause_total += cause.second.number;
+    }
+    EXPECT_EQ(cause_total, misses->number);
+  }
+}
+
+TEST(Analysis, ReportEscapesTenantNamesReadFromATrace) {
+  // Tenant names reach the report from trace args, and a hand-edited trace
+  // can hold any string there.
+  exp::Scenario scenario = small_scenario();
+  scenario.tenants = tenant::parse_tenant_spec("gold:3;bronze:1");
+  std::ostringstream trace_stream;
+  (void)run_with_analysis(scenario, &trace_stream);
+  std::string text = trace_stream.str();
+  const std::string from = "\"tenant\":\"gold\"";
+  const std::string to = "\"tenant\":\"go\\\"ld\"";
+  std::size_t replaced = 0;
+  for (std::size_t pos = text.find(from); pos != std::string::npos;
+       pos = text.find(from, pos + to.size()), ++replaced) {
+    text.replace(pos, from.size(), to);
+  }
+  ASSERT_GT(replaced, 0u);
+
+  std::istringstream in(text);
+  const TraceDataset dataset = obs::analysis::read_chrome_trace(in);
+  const json::Value report =
+      json::parse(report_json(obs::analysis::build_report(dataset)), "report");
+  const json::Value* tenants = report.find("tenants");
+  ASSERT_NE(tenants, nullptr);
+  bool found = false;
+  for (const json::Value& t : tenants->items) {
+    found = found || t.find("tenant")->text == "go\"ld";
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(Analysis, ReaderAcceptsTheTraceEventsObjectForm) {
+  std::ostringstream trace_stream;
+  (void)run_with_analysis(small_scenario(), &trace_stream);
+  std::istringstream bare(trace_stream.str());
+  std::istringstream wrapped("{\"displayTimeUnit\":\"ms\",\"traceEvents\":" +
+                             trace_stream.str() + ",\"otherData\":{}}");
+  const TraceDataset a = obs::analysis::read_chrome_trace(bare);
+  const TraceDataset b = obs::analysis::read_chrome_trace(wrapped);
+
+  ASSERT_GT(a.spans.size(), 0u);
+  ASSERT_EQ(a.spans.size(), b.spans.size());
+  for (std::size_t i = 0; i < a.spans.size(); ++i) {
+    const obs::Span& x = a.spans[i];
+    const obs::Span& y = b.spans[i];
+    EXPECT_TRUE(x.kind == y.kind && x.name == y.name &&
+                x.track.pid == y.track.pid && x.track.tid == y.track.tid &&
+                x.start_ms == y.start_ms && x.end_ms == y.end_ms &&
+                x.args == y.args)
+        << "span " << i;
+  }
+  ASSERT_EQ(a.instants.size(), b.instants.size());
+  for (std::size_t i = 0; i < a.instants.size(); ++i) {
+    const obs::Instant& x = a.instants[i];
+    const obs::Instant& y = b.instants[i];
+    EXPECT_TRUE(x.kind == y.kind && x.name == y.name &&
+                x.track.pid == y.track.pid && x.track.tid == y.track.tid &&
+                x.at_ms == y.at_ms && x.args == y.args)
+        << "instant " << i;
+  }
+
+  for (const char* bad : {"{\"traceEvents\":1}", "{\"traceEvents\":{}}",
+                          "{\"other\":[]}",
+                          "{\"traceEvents\":[],\"traceEvents\":[]}"}) {
+    std::istringstream in(bad);
+    EXPECT_THROW((void)obs::analysis::read_chrome_trace(in),
+                 std::invalid_argument)
+        << bad;
+  }
+}
+
+TEST(Analysis, ReaderRejectsDeepNestingWithoutCrashing) {
+  // One stack frame per level would overflow long before 100,000 levels.
+  std::istringstream arrays(std::string(100000, '['));
+  EXPECT_THROW((void)obs::analysis::read_chrome_trace(arrays),
+               std::invalid_argument);
+  std::string objects = "[";
+  for (int i = 0; i < 100000; ++i) objects += "{\"args\":";
+  std::istringstream in_event(objects);
+  EXPECT_THROW((void)obs::analysis::read_chrome_trace(in_event),
+               std::invalid_argument);
+}
+
+TEST(Analysis, ReaderRejectsIdsThatAreNotUint32) {
+  for (const char* pid : {"-1", "4294967296", "1.5", "\"1\""}) {
+    std::istringstream in(
+        std::string("[{\"name\":\"a\",\"cat\":\"request\",\"ph\":\"X\","
+                    "\"ts\":0,\"dur\":1,\"pid\":") +
+        pid + ",\"tid\":1}]");
+    EXPECT_THROW((void)obs::analysis::read_chrome_trace(in),
+                 std::invalid_argument)
+        << pid;
+  }
 }
 
 TEST(Analysis, ReaderRejectsDuplicateObjectKeys) {

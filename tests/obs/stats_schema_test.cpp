@@ -1,16 +1,17 @@
 // Schema validation for the StatsSampler's JSONL output: every line must be
 // standalone parseable JSON with exactly the documented field names, known
 // gauge names, and non-decreasing timestamps — the contract downstream
-// pandas/jq pipelines depend on.
+// pandas/jq pipelines depend on. Lines are read with common/json; the
+// independent tests/obs/mini_json.hpp validator checks the raw text.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "exp/scenario.hpp"
 #include "mini_json.hpp"
 #include "obs/recorder.hpp"
@@ -39,32 +40,6 @@ std::vector<std::string> run_stats_lines() {
   return lines;
 }
 
-/// Extracts the raw text of a `"key":value` field; empty when absent.
-std::string field_text(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return {};
-  const auto start = pos + needle.size();
-  auto end = start;
-  int depth = 0;
-  bool in_string = false;
-  for (; end < line.size(); ++end) {
-    const char c = line[end];
-    if (in_string) {
-      if (c == '"' && line[end - 1] != '\\') in_string = false;
-      continue;
-    }
-    if (c == '"') in_string = true;
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') {
-      if (depth == 0) break;
-      --depth;
-    }
-    if (c == ',' && depth == 0) break;
-  }
-  return line.substr(start, end - start);
-}
-
 TEST(StatsSchema, EveryLineIsParseableJson) {
   const auto lines = run_stats_lines();
   ASSERT_GT(lines.size(), 0u);
@@ -76,12 +51,19 @@ TEST(StatsSchema, EveryLineIsParseableJson) {
 TEST(StatsSchema, FieldNamesAreExactlyTheDocumentedSet) {
   const auto lines = run_stats_lines();
   ASSERT_GT(lines.size(), 0u);
+  // The sink's documented schema: {"ts_ms":..,"pid":..,"name":..,"value":..},
+  // with a string name and numbers elsewhere.
+  const std::set<std::string> documented = {"ts_ms", "pid", "name", "value"};
   for (const auto& line : lines) {
-    // The sink's documented schema: {"ts_ms":..,"pid":..,"name":..,"value":..}
-    EXPECT_NE(line.find("{\"ts_ms\":"), std::string::npos) << line;
-    EXPECT_NE(line.find(",\"pid\":"), std::string::npos) << line;
-    EXPECT_NE(line.find(",\"name\":\""), std::string::npos) << line;
-    EXPECT_NE(line.find(",\"value\":"), std::string::npos) << line;
+    const json::Value row = json::parse(line, "stats line");
+    std::set<std::string> keys;
+    for (const json::Member& m : row.members) keys.insert(m.first);
+    EXPECT_EQ(keys, documented) << line;
+    for (const json::Member& m : row.members) {
+      EXPECT_EQ(m.second.kind, m.first == "name" ? json::Value::Kind::kString
+                                                 : json::Value::Kind::kNumber)
+          << line;
+    }
   }
 }
 
@@ -94,9 +76,10 @@ TEST(StatsSchema, GaugeNamesAreKnown) {
   ASSERT_GT(lines.size(), 0u);
   std::set<std::string> seen;
   for (const auto& line : lines) {
-    std::string name = field_text(line, "name");
-    ASSERT_GE(name.size(), 2u) << line;
-    name = name.substr(1, name.size() - 2);  // strip quotes
+    const json::Value row = json::parse(line, "stats line");
+    const json::Value* field = row.find("name");
+    ASSERT_NE(field, nullptr) << line;
+    const std::string& name = field->text;
     EXPECT_TRUE(known.count(name) == 1) << "unknown gauge '" << name << "'";
     seen.insert(name);
   }
@@ -109,11 +92,11 @@ TEST(StatsSchema, TimestampsAreMonotoneNonDecreasing) {
   ASSERT_GT(lines.size(), 1u);
   double prev = -1.0;
   for (const auto& line : lines) {
-    const std::string ts = field_text(line, "ts_ms");
-    ASSERT_FALSE(ts.empty()) << line;
-    const double value = std::strtod(ts.c_str(), nullptr);
-    EXPECT_GE(value, prev) << line;
-    prev = value;
+    const json::Value row = json::parse(line, "stats line");
+    const json::Value* ts = row.find("ts_ms");
+    ASSERT_NE(ts, nullptr) << line;
+    EXPECT_GE(ts->number, prev) << line;
+    prev = ts->number;
   }
 }
 

@@ -136,6 +136,26 @@ TEST(PerfDiffTest, MalformedJsonThrowsInvalidArgument) {
                std::invalid_argument);
 }
 
+TEST(PerfDiffTest, DuplicateKeyThrowsInvalidArgument) {
+  // Both copies would otherwise be diffed against the current file's last.
+  const std::string doc = run_doc(1000.0, 1.0);
+  const std::string dup =
+      R"({"run": {"events_per_sec": 1000, "events_per_sec": 10}})";
+  EXPECT_THROW(diff_json(dup, doc, DiffOptions{}), std::invalid_argument);
+  EXPECT_THROW(diff_json(doc, dup, DiffOptions{}), std::invalid_argument);
+  EXPECT_THROW(diff_json(R"({"rows": [{"seed": 1, "seed": 2}]})", "{}",
+                         DiffOptions{}),
+               std::invalid_argument);
+}
+
+TEST(PerfDiffTest, DeepNestingThrowsInvalidArgument) {
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(diff_json(objects, "{}", DiffOptions{}), std::invalid_argument);
+  EXPECT_THROW(diff_json("{}", std::string(100000, '['), DiffOptions{}),
+               std::invalid_argument);
+}
+
 TEST(PerfDiffTest, UnreadableFileThrowsInvalidArgument) {
   EXPECT_THROW(
       diff_files("/nonexistent/a.json", "/nonexistent/b.json", DiffOptions{}),

@@ -142,6 +142,49 @@ TEST(TraceJsonl, RejectsBadFraming) {
                std::invalid_argument);
 }
 
+TEST(TraceJsonl, DecodesStringEscapes) {
+  // Lines are JSON, so an escaped schema tag is the same tag.
+  const WorkloadTrace t = jsonl(
+      "{\"sch\\u0065ma\":\"esg.trace\\u002ev1\",\"bin_ms\":250,\"apps\":2}\n"
+      "{\"bin\":0,\"app\":1,\"count\":3}\n");
+  EXPECT_DOUBLE_EQ(t.bin_ms, 250.0);
+  ASSERT_EQ(t.rows.size(), 1u);
+  EXPECT_EQ(t.rows[0].app, 1u);
+  // A decoded duplicate is still a duplicate.
+  EXPECT_THROW(
+      jsonl("{\"schema\":\"esg.trace.v1\",\"bin_ms\":1,\"apps\":1,"
+            "\"app\\u0073\":1}\n"),
+      std::invalid_argument);
+}
+
+TEST(TraceJsonl, ErrorsNameTheLineAndClause) {
+  const std::string header =
+      "{\"schema\":\"esg.trace.v1\",\"bin_ms\":250,\"apps\":2}\n";
+  for (const std::string& row :
+       {std::string("{\"bin\":0,\"app\":0,\"count\":1"),
+        std::string("{\"bin\":0,\"app\":0,\"count\":01}"),
+        std::string("[1,2,3]")}) {
+    try {
+      (void)jsonl(header + "\n" + row + "\n");
+      FAIL() << row;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(
+                    "workload-trace line 3 '" + row + "': ", 0),
+                0u)
+          << e.what();
+    }
+  }
+}
+
+TEST(TraceJsonl, RejectsDeepNestingWithoutCrashing) {
+  const std::string header =
+      "{\"schema\":\"esg.trace.v1\",\"bin_ms\":250,\"apps\":2}\n";
+  std::string deep;
+  for (int i = 0; i < 100000; ++i) deep += "{\"bin\":";
+  EXPECT_THROW(jsonl(header + deep + "\n"), std::invalid_argument);
+  EXPECT_THROW(jsonl(std::string(100000, '[') + "\n"), std::invalid_argument);
+}
+
 TEST(TraceJsonl, RejectsUnsortedAndUnknownApps) {
   const std::string header =
       "{\"schema\":\"esg.trace.v1\",\"bin_ms\":250,\"apps\":2}\n";
