@@ -31,11 +31,12 @@ SearchResult astar_reference(std::span<const StageInput> stages,
   std::vector<std::vector<profile::ProfileEntry>> lists(n);
   for (std::size_t i = 0; i < n; ++i) {
     check(stages[i].table != nullptr, "astar_reference: null table");
-    if (stages[i].batch_cap == 0) {
-      const auto span = stages[i].table->entries();
-      lists[i].assign(span.begin(), span.end());
-    } else {
-      lists[i] = stages[i].table->entries_with_batch_at_most(stages[i].batch_cap);
+    // Filtered here rather than taken from ProfileTable::view, so this
+    // oracle does not share ESG_1Q's inputs.
+    for (const profile::ProfileEntry& e : stages[i].table->entries()) {
+      if (stages[i].batch_cap == 0 || e.config.batch <= stages[i].batch_cap) {
+        lists[i].push_back(e);
+      }
     }
     if (lists[i].empty()) {
       throw std::invalid_argument("astar_reference: empty stage");

@@ -9,6 +9,13 @@
 //                the K-th best known optimistic completion (minRSC[K-1]).
 //   rscFastest — the partial path's cost plus the cost of finishing as fast
 //                as possible; feeds minRSC, tightening the cost blade.
+//
+// Each stage's list and its min per-job cost come from ProfileTable::view,
+// built once per table, and the list's first entry is the stage's fastest,
+// so a search copies and rescans no profile. A partial path is a node
+// holding its totals, the index of its prefix in the previous stage's level
+// and the index of its last configuration; the K result paths are rebuilt
+// from those links at the end, so extending a path copies nothing either.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +31,7 @@ namespace esg::core {
 struct StageInput {
   const profile::ProfileTable* table = nullptr;
   /// Largest admissible batch for this stage (jobs actually queued);
-  /// 0 = unconstrained.
+  /// 0 = unconstrained. Selects the table's view (ProfileTable::view).
   std::uint16_t batch_cap = 0;
 };
 
@@ -56,11 +63,13 @@ struct SearchOptions {
   std::size_t k = 5;  ///< solutions kept (paper default, Section 5.4)
   /// Hard cap on surviving partial paths per stage (memory guard; the
   /// dual-blade pruning keeps real workloads far below it). Excess paths —
-  /// the costliest ones — are dropped.
+  /// the costliest ones — are dropped. Must be > 0, like k.
   std::size_t max_paths = 200'000;
 };
 
-/// Runs ESG_1Q over `stages` with target latency `g_slo_ms`.
+/// Runs ESG_1Q over `stages` with target latency `g_slo_ms`. Throws
+/// std::invalid_argument on no stages, k == 0, max_paths == 0 or a stage
+/// whose batch cap admits no configuration.
 [[nodiscard]] SearchResult esg_1q(std::span<const StageInput> stages,
                                   TimeMs g_slo_ms, const SearchOptions& options = {});
 

@@ -135,7 +135,6 @@ platform::PlanResult EsgScheduler::plan(const platform::QueueView& view) {
     if (defer_ok) {
       plan.defer = true;
       plan.overhead_ms = options_.overhead.overhead_ms(nodes);
-      stats_.nodes_expanded += nodes;
       return plan;
     }
   }
@@ -148,8 +147,12 @@ platform::PlanResult EsgScheduler::plan(const platform::QueueView& view) {
     const auto& table = profiles_.table(view.function);
     // Batch cap 8: beyond that the marginal per-job saving is small while
     // the task latency (which delays every successor stage) keeps growing.
-    std::vector<profile::ProfileEntry> drain = table.entries_with_batch_at_most(
-        static_cast<std::uint16_t>(std::min<std::size_t>(view.queue_length, 8)));
+    const std::size_t cap = std::min<std::size_t>(view.queue_length, 8);
+    std::vector<profile::ProfileEntry> drain;
+    if (cap > 0) {  // an empty queue drains nothing; view(0) is the whole table
+      const auto admissible = table.view(static_cast<std::uint16_t>(cap)).entries;
+      drain.assign(admissible.begin(), admissible.end());
+    }
     // Two drain flavours. A request that still has end-to-end budget and a
     // shallow queue (the target was merely unreachable after margins, not a
     // backlog symptom) races lean — cost x latency keeps it brisk and it
@@ -179,7 +182,6 @@ platform::PlanResult EsgScheduler::plan(const platform::QueueView& view) {
       if (plan.candidates.size() >= options_.k) break;
     }
     plan.overhead_ms = options_.overhead.overhead_ms(nodes);
-    stats_.nodes_expanded += nodes;
     return plan;
   }
 
@@ -205,9 +207,6 @@ platform::PlanResult EsgScheduler::plan(const platform::QueueView& view) {
     }
   }
   plan.overhead_ms = options_.overhead.overhead_ms(nodes);
-  stats_.nodes_expanded += nodes;
-  stats_.pruned_time += result.stats.pruned_time;
-  stats_.pruned_cost += result.stats.pruned_cost;
   return plan;
 }
 

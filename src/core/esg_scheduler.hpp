@@ -72,15 +72,11 @@ class EsgScheduler : public platform::Scheduler {
   [[nodiscard]] const SloDistribution& distribution(AppId app) const;
   [[nodiscard]] const Options& options() const { return options_; }
 
-  /// Cumulative search statistics (for the overhead analyses).
-  [[nodiscard]] const SearchStats& cumulative_stats() const { return stats_; }
-
  private:
   const profile::ProfileSet& profiles_;
   Options options_;
   std::unordered_map<AppId, SloDistribution> distributions_;
   std::unordered_map<AppId, const workload::AppDag*> dags_;
-  SearchStats stats_;
   /// Per-app fault pressure (see on_stage_retry); absent = 0.
   std::unordered_map<AppId, double> retry_pressure_;
 

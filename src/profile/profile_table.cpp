@@ -1,7 +1,7 @@
 #include "profile/profile_table.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <iterator>
 #include <stdexcept>
 
 #include "common/check.hpp"
@@ -57,26 +57,51 @@ ProfileTable::ProfileTable(const FunctionSpec& spec, std::vector<Config> configs
               return a.config < b.config;
             });
 
-  min_latency_ = entries_.front().latency_ms;
-  fastest_per_job_cost_ = entries_.front().per_job_cost;
-  min_per_job_cost_ = std::numeric_limits<Usd>::infinity();
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    min_per_job_cost_ = std::min(min_per_job_cost_, entries_[i].per_job_cost);
     const auto [it, inserted] = index_.emplace(key(entries_[i].config), i);
     if (!inserted) {
       throw std::invalid_argument("ProfileTable: duplicate configuration");
     }
   }
+
+  // The views: for each distinct batch size b, ascending, the entries with
+  // batch <= b in latency order, back to back in sliced_. Counting first
+  // lets sliced_ be allocated once.
+  std::vector<std::uint16_t> batches;
+  batches.reserve(entries_.size());
+  for (const ProfileEntry& e : entries_) batches.push_back(e.config.batch);
+  std::sort(batches.begin(), batches.end());
+  batches.erase(std::unique(batches.begin(), batches.end()), batches.end());
+  const auto admitted_by = [](std::uint16_t b) {
+    return [b](const ProfileEntry& e) { return e.config.batch <= b; };
+  };
+  std::size_t sliced_size = 0;
+  for (const std::uint16_t b : batches) {
+    sliced_size += std::ranges::count_if(entries_, admitted_by(b));
+  }
+  sliced_.reserve(sliced_size);
+  for (const std::uint16_t b : batches) {
+    const std::size_t begin = sliced_.size();
+    std::ranges::copy_if(entries_, std::back_inserter(sliced_), admitted_by(b));
+    const auto slice = std::span(sliced_).subspan(begin);
+    const Usd min_cost =
+        std::ranges::min(slice, {}, &ProfileEntry::per_job_cost).per_job_cost;
+    slices_.push_back(Slice{b, begin, slice.size(), min_cost});
+  }
 }
 
-std::vector<ProfileEntry> ProfileTable::entries_with_batch_at_most(
-    std::uint16_t max_batch) const {
-  std::vector<ProfileEntry> out;
-  out.reserve(entries_.size());
-  for (const ProfileEntry& e : entries_) {
-    if (e.config.batch <= max_batch) out.push_back(e);
-  }
-  return out;
+ProfileView ProfileTable::view(std::uint16_t max_batch) const {
+  // The slice of the largest batch size <= max_batch.
+  const auto above =
+      max_batch == 0
+          ? slices_.end()
+          : std::upper_bound(slices_.begin(), slices_.end(), max_batch,
+                             [](std::uint16_t cap, const Slice& s) {
+                               return cap < s.batch;
+                             });
+  if (above == slices_.begin()) return {};
+  const Slice& s = *std::prev(above);
+  return ProfileView{std::span(sliced_).subspan(s.begin, s.size), s.min_per_job_cost};
 }
 
 const ProfileEntry& ProfileTable::at(const Config& config) const {

@@ -32,6 +32,11 @@ TEST(Esg1q, RejectsBadInput) {
   SearchOptions opts;
   opts.k = 0;
   EXPECT_THROW(esg_1q(stages, 100.0, opts), std::invalid_argument);
+  // A zero path cap would empty the first level and report a feasible
+  // target as missed.
+  SearchOptions no_paths;
+  no_paths.max_paths = 0;
+  EXPECT_THROW(esg_1q(stages, 100'000.0, no_paths), std::invalid_argument);
 }
 
 TEST(Esg1q, SingleStageFindsCheapestMeetingTarget) {

@@ -1,0 +1,112 @@
+// A golden digest of ESG_1Q over a seeded corpus of queries on the built-in
+// (Table 3) profiles. Everything a caller can observe — feasibility, every
+// configuration of every configPQ path, the bit patterns of both path
+// totals and all four search statistics — is folded into one FNV-1a hash,
+// recorded from the search before its partial paths became index-linked.
+// A change to either pruning blade, the max_paths cut or the tie order of
+// the sorts moves the digest. nodes_expanded is pinned too because the
+// simulator charges scheduling overhead from it.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "core/esg_1q.hpp"
+#include "profile/function_spec.hpp"
+#include "profile/profile_table.hpp"
+
+namespace esg::core {
+namespace {
+
+constexpr int kQueries = 3'000;
+constexpr std::uint64_t kGoldenDigest = 0x94749a684077799bull;
+
+class Fnv1a {
+ public:
+  void add_u64(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (v >> (8 * byte)) & 0xffu;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void add_f64(double v) { add_u64(std::bit_cast<std::uint64_t>(v)); }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+struct Query {
+  std::vector<StageInput> stages;
+  TimeMs target_ms = 0.0;
+  SearchOptions options;
+};
+
+/// 1-3 stages (a function may repeat), a first-stage batch cap that is
+/// unconstrained or 1-40 (every batch size, the caps between them and caps
+/// past the largest), a target of 0.5-2x the min-config latency sum, K in
+/// {1, 5, 80} and max_paths either 3 (truncation on) or the default.
+Query make_query(RngStream& rng, const profile::ProfileSet& set) {
+  const auto specs = profile::builtin_specs();
+  Query q;
+  const std::size_t n = 1 + rng.below(3);
+  TimeMs min_config_sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& table = set.table(specs[rng.below(specs.size())].id);
+    q.stages.push_back(StageInput{&table, 0});
+    min_config_sum += table.min_config_entry().latency_ms;
+  }
+  q.stages.front().batch_cap =
+      rng.chance(0.25) ? 0 : static_cast<std::uint16_t>(1 + rng.below(40));
+  q.target_ms = min_config_sum * rng.uniform(0.5, 2.0);
+  constexpr std::size_t kKs[] = {1, 5, 80};
+  q.options.k = kKs[rng.below(3)];
+  if (rng.chance(0.5)) q.options.max_paths = 3;
+  return q;
+}
+
+void fold(Fnv1a& digest, const SearchResult& result) {
+  digest.add_u64(result.met_slo ? 1 : 0);
+  digest.add_u64(result.config_pq.size());
+  for (const SearchPath& path : result.config_pq) {
+    digest.add_u64(path.entries.size());
+    for (const profile::ProfileEntry& e : path.entries) {
+      digest.add_u64(e.config.batch);
+      digest.add_u64(e.config.vcpus);
+      digest.add_u64(e.config.vgpus);
+    }
+    digest.add_f64(path.total_latency_ms);
+    digest.add_f64(path.total_per_job_cost);
+  }
+  digest.add_u64(result.stats.nodes_expanded);
+  digest.add_u64(result.stats.pruned_time);
+  digest.add_u64(result.stats.pruned_cost);
+  digest.add_u64(result.stats.paths_kept);
+}
+
+TEST(SearchGolden, CorpusDigestIsPinned) {
+  const profile::ProfileSet set = profile::ProfileSet::builtin();
+  RngStream rng = RngFactory(16).stream("search-golden");
+  Fnv1a digest;
+  int infeasible = 0;
+  int at_cap = 0;
+  for (int i = 0; i < kQueries; ++i) {
+    const Query q = make_query(rng, set);
+    const SearchResult result = esg_1q(q.stages, q.target_ms, q.options);
+    fold(digest, result);
+    if (!result.met_slo) ++infeasible;
+    if (result.stats.paths_kept == q.options.max_paths) ++at_cap;
+  }
+  // The corpus must reach both outcomes and the max_paths cap, or the
+  // digest would pin less than it claims to.
+  EXPECT_GT(infeasible, kQueries / 20);
+  EXPECT_LT(infeasible, kQueries / 2);
+  EXPECT_GT(at_cap, kQueries / 10);
+  EXPECT_EQ(digest.value(), kGoldenDigest)
+      << "digest 0x" << std::hex << digest.value();
+}
+
+}  // namespace
+}  // namespace esg::core

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "profile/function_spec.hpp"
 #include "profile/perf_model.hpp"
 
@@ -112,11 +119,92 @@ TEST(ProfileTable, MinimaAreConsistent) {
 TEST(ProfileTable, BatchFilterKeepsOrderAndBound) {
   const ProfileSet set = ProfileSet::builtin();
   const auto& table = set.table(sr().id);
-  const auto filtered = table.entries_with_batch_at_most(2);
+  const auto filtered = table.view(2).entries;
   ASSERT_FALSE(filtered.empty());
   for (std::size_t i = 0; i < filtered.size(); ++i) {
     EXPECT_LE(filtered[i].config.batch, 2);
     if (i > 0) EXPECT_LE(filtered[i - 1].latency_ms, filtered[i].latency_ms);
+  }
+}
+
+/// Expects `got` to hold exactly `want`, in order, and a min per-job cost
+/// bit-equal to one recomputed from `want` the way a search would.
+void expect_view_of(const ProfileView& got, const std::vector<ProfileEntry>& want) {
+  ASSERT_EQ(got.entries.size(), want.size());
+  Usd min_cost = std::numeric_limits<Usd>::infinity();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const ProfileEntry& e = want[i];
+    EXPECT_EQ(got.entries[i].config, e.config) << "entry " << i;
+    EXPECT_EQ(got.entries[i].latency_ms, e.latency_ms) << "entry " << i;
+    EXPECT_EQ(got.entries[i].task_cost, e.task_cost) << "entry " << i;
+    EXPECT_EQ(got.entries[i].per_job_cost, e.per_job_cost) << "entry " << i;
+    min_cost = std::min(min_cost, e.per_job_cost);
+  }
+  if (!want.empty()) {
+    EXPECT_EQ(got.min_per_job_cost, min_cost);
+  }
+}
+
+std::vector<ProfileEntry> filter(const ProfileTable& table, std::uint16_t cap) {
+  std::vector<ProfileEntry> out;
+  for (const ProfileEntry& e : table.entries()) {
+    if (cap == 0 || e.config.batch <= cap) out.push_back(e);
+  }
+  return out;
+}
+
+TEST(ProfileTable, ViewsEqualAFilterOfEntries) {
+  const ProfileSet set = ProfileSet::builtin();
+  for (const auto& spec : builtin_specs()) {
+    const ProfileTable& table = set.table(spec.id);
+    for (std::uint16_t cap = 0; cap <= 40; ++cap) {
+      SCOPED_TRACE(spec.name + " cap " + std::to_string(cap));
+      expect_view_of(table.view(cap), filter(table, cap));
+    }
+    // The whole-table view backs the table-wide bound.
+    EXPECT_EQ(table.min_per_job_cost(), table.view().min_per_job_cost);
+  }
+}
+
+TEST(ProfileTable, ViewBelowTheSmallestBatchIsEmpty) {
+  ConfigSpaceOptions opts;
+  opts.batches = {4, 8};
+  const ProfileTable table(sr(), enumerate_configs(opts, sr()), PriceModel{});
+  for (std::uint16_t cap = 1; cap < 4; ++cap) {
+    EXPECT_TRUE(table.view(cap).entries.empty());
+  }
+  expect_view_of(table.view(7), filter(table, 7));
+}
+
+TEST(ProfileTable, ViewsOfCopiesAndMovesUseTheirOwnStorage) {
+  const auto make = [] {
+    return ProfileTable(sr(), enumerate_configs({}, sr()), PriceModel{});
+  };
+  const ProfileTable reference = make();
+  auto original = std::make_unique<ProfileTable>(make());
+  const ProfileTable copy = *original;
+  const ProfileTable moved_to = std::move(*original);
+  *original = make();  // moved from, then moved to
+  const ProfileTable* tables[] = {&copy, &moved_to, original.get()};
+  for (std::uint16_t cap = 0; cap <= 40; ++cap) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    const auto want = filter(reference, cap);
+    for (std::size_t a = 0; a < std::size(tables); ++a) {
+      expect_view_of(tables[a]->view(cap), want);
+      EXPECT_NE(tables[a]->view(cap).entries.data(),
+                reference.view(cap).entries.data());
+      for (std::size_t b = a + 1; b < std::size(tables); ++b) {
+        EXPECT_NE(tables[a]->view(cap).entries.data(),
+                  tables[b]->view(cap).entries.data());
+      }
+    }
+  }
+  // The copy and the table moved into must not read the storage of the
+  // table they came from.
+  original.reset();
+  for (std::uint16_t cap = 0; cap <= 40; ++cap) {
+    expect_view_of(copy.view(cap), filter(reference, cap));
+    expect_view_of(moved_to.view(cap), filter(reference, cap));
   }
 }
 
