@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "baselines/bo/gaussian_process.hpp"
+#include "baselines/follow_plan.hpp"
 #include "common/check.hpp"
 
 namespace esg::baselines {
@@ -153,27 +154,9 @@ const std::vector<profile::Config>& AquatopeScheduler::learned(AppId app) const 
 }
 
 platform::PlanResult AquatopeScheduler::plan(const platform::QueueView& view) {
-  platform::PlanResult result;
-  const auto& configs = learned(view.app);
-  const profile::Config planned = configs.at(view.stage);
-
-  if (view.stage == view.dag->entry()) {
-    if (planned.batch > view.queue_length) {
-      const TimeMs slack =
-          std::max(0.0, view.slo_ms - planned_latency_.at(view.app));
-      if (view.head_wait_ms < defer_safety_ * slack) {
-        result.defer = true;
-        return result;
-      }
-    }
-    result.candidates.push_back(planned);
-    return result;  // negligible runtime overhead: the model is pre-trained
-  }
-
-  result.used_preplanned = true;
-  result.preplanned_miss = planned.batch > view.queue_length;
-  result.candidates.push_back(planned);  // controller clamps the batch
-  return result;
+  // No overhead is charged: the model is pre-trained.
+  return follow_plan(view, learned(view.app), planned_latency_.at(view.app),
+                     0.0);
 }
 
 std::optional<InvokerId> AquatopeScheduler::place(

@@ -48,7 +48,6 @@ class AquatopeScheduler : public platform::Scheduler {
  private:
   Options options_;
   std::unordered_map<AppId, std::vector<profile::Config>> learned_;
-  double defer_safety_ = 0.5;
   std::unordered_map<AppId, TimeMs> planned_latency_;
 
   void train(const workload::AppDag& app, const profile::ProfileSet& profiles,

@@ -4,41 +4,30 @@
 // minimises GPU fragmentation. It spends as little GPU as the static slice
 // allows — which is why the paper observes it "always yields the largest
 // latency" with frequent SLO strikes when early stages are delayed.
+// StaticSliceScheduler does the rest.
 #pragma once
 
-#include <unordered_map>
+#include <string_view>
 
-#include "baselines/service_time_split.hpp"
-#include "platform/scheduler.hpp"
+#include "baselines/static_slice.hpp"
 
 namespace esg::baselines {
 
-class FastGshareScheduler : public platform::Scheduler {
- public:
-  struct Options {
-    std::size_t candidates = 3;
-    double defer_safety = 0.5;
-  };
-
-  FastGshareScheduler(const std::vector<workload::AppDag>& apps,
-                      const profile::ProfileSet& profiles, Options options);
-  FastGshareScheduler(const std::vector<workload::AppDag>& apps,
-                      const profile::ProfileSet& profiles)
-      : FastGshareScheduler(apps, profiles, Options{}) {}
-
-  [[nodiscard]] std::string_view name() const override { return "FaST-GShare"; }
-
-  platform::PlanResult plan(const platform::QueueView& view) override;
-
-  /// Minimises GPU fragmentation: tightest vGPU fit wins, vCPUs break ties.
-  std::optional<InvokerId> place(const platform::PlacementContext& ctx,
-                                 const cluster::Cluster& cluster) override;
-
-  [[nodiscard]] bool prefers_locality() const override { return false; }
-
- private:
-  Options options_;
-  std::unordered_map<AppId, ServiceTimeSplit> splits_;
+/// Lowest per-job cost first (FaST-GShare's spatio-temporal GPU efficiency
+/// metric), which lands on frugal configurations that barely make the
+/// slice; the faster configuration breaks ties.
+struct FastGshareRank {
+  static constexpr std::string_view kName = "FaST-GShare";
+  bool operator()(const profile::ProfileEntry* a,
+                  const profile::ProfileEntry* b) const {
+    if (a->per_job_cost != b->per_job_cost) {
+      return a->per_job_cost < b->per_job_cost;
+    }
+    return a->latency_ms < b->latency_ms;
+  }
 };
+
+extern template class StaticSliceScheduler<FastGshareRank>;
+using FastGshareScheduler = StaticSliceScheduler<FastGshareRank>;
 
 }  // namespace esg::baselines

@@ -5,43 +5,29 @@
 // fragmentation and maximise throughput. The enumeration picks the
 // highest-throughput configuration that fits the static per-stage slice,
 // which yields the paper's observed behaviour: low per-stage latencies at
-// the highest resource cost.
+// the highest resource cost. StaticSliceScheduler does the rest.
 #pragma once
 
-#include <unordered_map>
+#include <string_view>
 
-#include "baselines/service_time_split.hpp"
-#include "platform/scheduler.hpp"
+#include "baselines/static_slice.hpp"
 
 namespace esg::baselines {
 
-class InflessScheduler : public platform::Scheduler {
- public:
-  struct Options {
-    std::size_t candidates = 3;  ///< configurations offered per plan
-    double defer_safety = 0.5;   ///< batching wait, same policy as ESG's
-  };
-
-  InflessScheduler(const std::vector<workload::AppDag>& apps,
-                   const profile::ProfileSet& profiles, Options options);
-  InflessScheduler(const std::vector<workload::AppDag>& apps,
-                   const profile::ProfileSet& profiles)
-      : InflessScheduler(apps, profiles, Options{}) {}
-
-  [[nodiscard]] std::string_view name() const override { return "INFless"; }
-
-  platform::PlanResult plan(const platform::QueueView& view) override;
-
-  /// Best-fit: the invoker with the least free capacity that still fits —
-  /// INFless's anti-fragmentation packing.
-  std::optional<InvokerId> place(const platform::PlacementContext& ctx,
-                                 const cluster::Cluster& cluster) override;
-
-  [[nodiscard]] bool prefers_locality() const override { return false; }
-
- private:
-  Options options_;
-  std::unordered_map<AppId, ServiceTimeSplit> splits_;
+/// Throughput (jobs per second) first, which favours big batches on many
+/// vGPU slices; the faster configuration breaks ties.
+struct InflessRank {
+  static constexpr std::string_view kName = "INFless";
+  bool operator()(const profile::ProfileEntry* a,
+                  const profile::ProfileEntry* b) const {
+    const double ta = static_cast<double>(a->config.batch) / a->latency_ms;
+    const double tb = static_cast<double>(b->config.batch) / b->latency_ms;
+    if (ta != tb) return ta > tb;
+    return a->latency_ms < b->latency_ms;
+  }
 };
+
+extern template class StaticSliceScheduler<InflessRank>;
+using InflessScheduler = StaticSliceScheduler<InflessRank>;
 
 }  // namespace esg::baselines

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "baselines/follow_plan.hpp"
 #include "common/check.hpp"
 
 namespace esg::baselines {
@@ -183,11 +184,13 @@ void OrionScheduler::search(const platform::QueueView& view, AppPlan& plan) {
 
   plan.configs.clear();
   plan.configs.reserve(stages);
+  plan.planned_latency_ms = 0.0;
   for (std::size_t s = 0; s < stages; ++s) {
-    plan.configs.push_back(profile::Config{
-        axes[s].batches[best_state.idx[s][0]],
-        axes[s].vcpus[best_state.idx[s][1]],
-        axes[s].vgpus[best_state.idx[s][2]]});
+    const profile::Config c{axes[s].batches[best_state.idx[s][0]],
+                            axes[s].vcpus[best_state.idx[s][1]],
+                            axes[s].vgpus[best_state.idx[s][2]]};
+    plan.configs.push_back(c);
+    plan.planned_latency_ms += axes[s].table->at(c).latency_ms;
   }
   plan.have_plan = true;
   plan.needs_refresh = false;
@@ -198,45 +201,19 @@ void OrionScheduler::search(const platform::QueueView& view, AppPlan& plan) {
 }
 
 platform::PlanResult OrionScheduler::plan(const platform::QueueView& view) {
-  platform::PlanResult result;
   AppPlan& app_plan = plans_.at(view.app);
-
   if (view.stage == view.dag->entry()) {
     if (!app_plan.have_plan || app_plan.needs_refresh) {
       search(view, app_plan);
     }
-    const profile::Config planned = app_plan.configs.at(view.stage);
-    if (planned.batch > view.queue_length) {
-      // Wait for the planned batch to form while slack allows.
-      TimeMs planned_latency = 0.0;
-      for (std::size_t s = 0; s < app_plan.configs.size(); ++s) {
-        const auto& tbl = view.profiles->table(view.dag->node(s).function);
-        if (tbl.contains(app_plan.configs[s])) {
-          planned_latency += tbl.at(app_plan.configs[s]).latency_ms;
-        }
-      }
-      const TimeMs slack = std::max(0.0, view.slo_ms - planned_latency);
-      if (view.head_wait_ms < options_.defer_safety * slack) {
-        result.defer = true;
-        result.overhead_ms = app_plan.search_overhead_ms;
-        return result;
-      }
-    }
-    result.candidates.push_back(planned);
-    result.overhead_ms = app_plan.search_overhead_ms;
+  } else if (!app_plan.have_plan) {
+    // A later stage before any entry-stage plan has nothing to follow.
+    platform::PlanResult result;
+    result.candidates.push_back(profile::kMinConfig);
     return result;
   }
-
-  // Later stages: rigidly reuse the pre-planned configuration.
-  if (app_plan.have_plan && view.stage < app_plan.configs.size()) {
-    const profile::Config planned = app_plan.configs[view.stage];
-    result.used_preplanned = true;
-    result.preplanned_miss = planned.batch > view.queue_length;
-    result.candidates.push_back(planned);  // controller clamps the batch
-  } else {
-    result.candidates.push_back(profile::kMinConfig);
-  }
-  return result;
+  return follow_plan(view, app_plan.configs, app_plan.planned_latency_ms,
+                     app_plan.search_overhead_ms);
 }
 
 std::optional<InvokerId> OrionScheduler::place(

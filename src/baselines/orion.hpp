@@ -31,7 +31,6 @@ class OrionScheduler : public platform::Scheduler {
     /// paper's search goal) under the platform's Gaussian noise.
     double p95_factor = 1.12;
     core::OverheadModel overhead;
-    double defer_safety = 0.5;
   };
 
   OrionScheduler(const std::vector<workload::AppDag>& apps,
@@ -52,6 +51,7 @@ class OrionScheduler : public platform::Scheduler {
  private:
   struct AppPlan {
     std::vector<profile::Config> configs;  // one per stage
+    TimeMs planned_latency_ms = 0.0;       ///< sum of the configs' latencies
     bool have_plan = false;
     bool needs_refresh = true;  ///< re-search at the next first-stage plan
     TimeMs search_overhead_ms = 0.0;

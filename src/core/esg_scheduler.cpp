@@ -115,9 +115,10 @@ platform::PlanResult EsgScheduler::plan(const platform::QueueView& view) {
 
   if (unconstrained.met_slo && desired_batch > view.queue_length) {
     // A larger batch would be cheaper and still meet the target. Wait for it
-    // while slack allows; the head-of-queue wait already consumed part of it.
+    // under the shared defer rule; the head-of-queue wait already consumed
+    // part of the slack.
     const TimeMs slack = std::max(0.0, g_slo - want.total_latency_ms);
-    bool defer_ok = view.head_wait_ms < options_.defer_safety * slack;
+    bool defer_ok = platform::may_defer(view.head_wait_ms, slack);
     if (defer_ok && view.forecast_rate_per_s >= 0.0) {
       // Foresight: deferring only pays if the missing batch-mates actually
       // arrive inside the slack. At the forecast rate the gap takes fill_ms
@@ -130,7 +131,7 @@ platform::PlanResult EsgScheduler::plan(const platform::QueueView& view) {
           view.forecast_rate_per_s > 0.0
               ? 1000.0 * missing / view.forecast_rate_per_s
               : kNoTime;
-      defer_ok = view.head_wait_ms + fill_ms < options_.defer_safety * slack;
+      defer_ok = platform::may_defer(view.head_wait_ms + fill_ms, slack);
     }
     if (defer_ok) {
       plan.defer = true;

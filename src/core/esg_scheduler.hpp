@@ -28,9 +28,6 @@ class EsgScheduler : public platform::Scheduler {
     std::size_t k = 5;              ///< configPQ length (Section 5.4 default)
     std::size_t max_group_size = 3; ///< function-group cap (Section 5.4 default)
     OverheadModel overhead;
-    /// Fraction of a group's latency slack the scheduler is willing to spend
-    /// waiting for a larger (cheaper) batch to form.
-    double defer_safety = 0.5;
     /// Data-passing model used to reserve budget for input staging (entry
     /// stages fetch remotely; later stages are expected to be local thanks
     /// to ESG_Dispatch).

@@ -3,6 +3,7 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -470,18 +471,27 @@ std::vector<RunOutput> run_replicas(const Scenario& base,
     max_threads = std::max(1u, std::thread::hardware_concurrency());
   }
   // Each replica writes only its own slot, so the merged outputs are ordered
-  // like `seeds` (and byte-identical) for any worker count.
+  // like `seeds` (and byte-identical) for any worker count. Pool tasks must
+  // not throw: a replica's failure is kept in its slot and rethrown here.
+  std::vector<std::exception_ptr> errors(seeds.size());
   sweep::ThreadPool pool(
       static_cast<unsigned>(std::min<std::size_t>(max_threads, seeds.size())));
   for (std::size_t i = 0; i < seeds.size(); ++i) {
-    pool.submit([&base, &seeds, &outputs, i] {
+    pool.submit([&base, &seeds, &outputs, &errors, i] {
       Scenario scenario = base;
       scenario.seed = seeds[i];
       scenario.trace = TraceConfig{};  // replicas would race on the files
-      outputs[i] = run_scenario(scenario);
+      try {
+        outputs[i] = run_scenario(scenario);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
     });
   }
   pool.wait_idle();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
   return outputs;
 }
 

@@ -201,7 +201,9 @@ struct RunOutput {
 /// like `seeds` regardless of execution interleaving, so results are
 /// byte-identical for any thread count. scenario.trace is ignored here —
 /// replicas would race on the output files; run traced seeds sequentially
-/// through run_scenario instead.
+/// through run_scenario instead. If replicas throw, every replica still
+/// finishes, then the exception of the first failing seed in `seeds` order
+/// is rethrown on the calling thread.
 [[nodiscard]] std::vector<RunOutput> run_replicas(const Scenario& base,
                                                   std::span<const std::uint64_t> seeds,
                                                   unsigned max_threads = 0);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -657,15 +655,6 @@ void Controller::process_queue(std::size_t qi) {
       return;
     }
   }
-  if (std::getenv("ESG_DEBUG") != nullptr && queue.placement_failures == 0) {
-    std::fprintf(stderr,
-                 "[%.0f] NOPLACE app=%u stage=%zu cands=%zu first=%s "
-                 "free=(%zu,%zu) qlen=%zu\n",
-                 sim_.now(), queue.app.get(), queue.stage, candidates.size(),
-                 candidates.empty() ? "-" : to_string(candidates.front()).c_str(),
-                 cluster_.total_free_vcpus(), cluster_.total_free_vgpus(),
-                 queue.jobs.size());
-  }
   if (traced_now()) {
     rec_->instant(obs::InstantKind::kNoPlacement, "no placement",
                   obs::controller_track(), sim_.now(),
@@ -809,15 +798,6 @@ void Controller::dispatch(AfwQueue& queue, const profile::Config& config,
   if (prewarm_) {
     prewarm_->on_invocation(task.app, task.function, invoker_id, sim_.now(),
                             task.occupancy_ms());
-  }
-
-  if (std::getenv("ESG_DEBUG") != nullptr) {
-    std::fprintf(stderr,
-                 "[%.0f] DISPATCH app=%u stage=%zu b=%u c=%u g=%u cold=%.0f "
-                 "xfer=%.0f exec=%.0f occ=%.0f inv=%u\n",
-                 sim_.now(), task.app.get(), task.stage, config.batch,
-                 config.vcpus, config.vgpus, task.cold_ms, task.transfer_ms,
-                 task.exec_ms, task.occupancy_ms(), invoker_id.get());
   }
 
   // The scheduling overhead delays the start of the work; the resources are

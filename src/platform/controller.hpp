@@ -64,14 +64,6 @@ struct ControllerOptions {
   /// experiments report steady-state behaviour rather than the initial
   /// cold-start wave (every scheduler shares the same warm-up).
   TimeMs metrics_warmup_ms = 0.0;
-  /// Cold-start patience: if the chosen invoker has no warm container but
-  /// the function is active somewhere (a container will free up soon), the
-  /// dispatch waits up to `factor x cold_start` of queueing delay before
-  /// paying the cold start. Spinning up a container that loads a model for
-  /// tens of seconds to serve a sub-second job while an identical container
-  /// is about to become idle is how keep-alive platforms melt down; real
-  /// controllers queue on the warm fleet instead.
-  double cold_patience_factor = 0.15;
   /// Structured-tracing handle (non-owning; nullptr or a recorder with no
   /// sinks disables all instrumentation at a single-branch cost). Spans and
   /// instants follow the metrics warm-up window so trace counts line up
@@ -243,7 +235,8 @@ class Controller {
   std::unique_ptr<prewarm::PrewarmManager> prewarm_;
   obs::TraceRecorder* rec_ = nullptr;     ///< = options_.recorder
   obs::LaneAllocator trace_gpu_lanes_;    ///< vGPU-slice rows for the trace
-  /// Running tasks per function (any app) — drives the cold-start patience.
+  /// Running tasks per function (any app). A queue that can place nothing
+  /// waits on them without counting a placement failure.
   std::unordered_map<FunctionId, std::size_t> active_by_function_;
   /// (invoker, function) pairs with a container currently being provisioned,
   /// mapped to the landing event so a crash can cancel it.

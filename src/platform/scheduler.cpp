@@ -53,18 +53,4 @@ std::optional<InvokerId> locality_first_place(const PlacementContext& ctx,
   return best;
 }
 
-std::optional<InvokerId> first_fit_from_home(const PlacementContext& ctx,
-                                             const cluster::Cluster& cluster) {
-  const std::size_t n = cluster.size();
-  const std::size_t start = ctx.home_invoker.valid() ? ctx.home_invoker.get() : 0;
-  for (std::size_t step = 0; step < n; ++step) {
-    const InvokerId id(static_cast<std::uint32_t>((start + step) % n));
-    if (ctx.excluded_invoker.valid() && id == ctx.excluded_invoker) continue;
-    if (cluster.invoker(id).can_fit(ctx.config.vcpus, ctx.config.vgpus)) {
-      return id;
-    }
-  }
-  return std::nullopt;
-}
-
 }  // namespace esg::platform

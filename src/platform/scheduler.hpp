@@ -136,16 +136,19 @@ class Scheduler {
   [[nodiscard]] virtual bool prefers_locality() const { return true; }
 };
 
+/// The batching-defer rule every strategy shares: a queue short of its
+/// planned batch keeps waiting while the time it has waited (plus, for
+/// ESG with a forecast, the time the batch needs to fill) is under half
+/// the slack its plan leaves.
+[[nodiscard]] inline bool may_defer(TimeMs waited_ms, TimeMs slack_ms) {
+  return waited_ms < 0.5 * slack_ms;
+}
+
 /// Shared fallback placement used by several strategies and by the
 /// controller's forced-minimum dispatch: home/predecessor first, then any
 /// warm invoker, then the cold invoker with the most free resources
 /// (Section 3.4).
 [[nodiscard]] std::optional<InvokerId> locality_first_place(
-    const PlacementContext& ctx, const cluster::Cluster& cluster);
-
-/// Simplest feasible placement: first invoker that fits (OpenWhisk-style
-/// deterministic search from the home invoker).
-[[nodiscard]] std::optional<InvokerId> first_fit_from_home(
     const PlacementContext& ctx, const cluster::Cluster& cluster);
 
 }  // namespace esg::platform

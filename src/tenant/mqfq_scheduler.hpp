@@ -59,8 +59,6 @@ class MqfqStickyScheduler : public platform::Scheduler {
     return inner_.planned_stage_fractions(app);
   }
 
-  [[nodiscard]] bool prefers_locality() const override { return true; }
-
  private:
   core::EsgScheduler inner_;
   const FairQueue* fair_queue_;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "exp/scenario.hpp"
 
 namespace esg::exp {
@@ -78,6 +80,19 @@ TEST(Harness, ParallelReplicasMatchSequentialRuns) {
     EXPECT_EQ(parallel[i].metrics.total_cost, solo.metrics.total_cost);
     EXPECT_EQ(parallel[i].metrics.requests(), solo.metrics.requests());
   }
+}
+
+TEST(Harness, ReplicaFailureIsRethrownOnTheCaller) {
+  // run_scenario rejects a crash on an invoker the fleet does not have. The
+  // replicas run on pool threads, which must hand that error back to the
+  // caller instead of terminating the process.
+  Scenario base = small_scenario(SchedulerKind::kEsg);
+  base.horizon_ms = 2'000.0;
+  base.fault = fault::parse_fault_spec("crash:invoker=99,at=1000,down=10");
+  const std::vector<std::uint64_t> one = {1};
+  const std::vector<std::uint64_t> three = {1, 2, 3};
+  EXPECT_THROW((void)run_replicas(base, one, 1), std::invalid_argument);
+  EXPECT_THROW((void)run_replicas(base, three, 3), std::invalid_argument);
 }
 
 TEST(Harness, AggregateAveragesAcrossReplicas) {

@@ -74,31 +74,5 @@ TEST(LocalityFirstPlace, SkipsWarmInvokerThatCannotFit) {
           .has_value());
 }
 
-TEST(FirstFitFromHome, StartsAtHomeAndWraps) {
-  cluster::Cluster c(4);
-  c.invoker(InvokerId(2)).allocate(16, 7);
-  c.invoker(InvokerId(3)).allocate(16, 7);
-  const auto chosen =
-      first_fit_from_home(ctx_with({1, 1, 1}, InvokerId{}, InvokerId(2)), c);
-  ASSERT_TRUE(chosen.has_value());
-  EXPECT_EQ(*chosen, InvokerId(0));  // 2 full, 3 full, wrap to 0
-}
-
-TEST(FirstFitFromHome, PrefersHomeItself) {
-  cluster::Cluster c(4);
-  const auto chosen =
-      first_fit_from_home(ctx_with({1, 1, 1}, InvokerId{}, InvokerId(2)), c);
-  ASSERT_TRUE(chosen.has_value());
-  EXPECT_EQ(*chosen, InvokerId(2));
-}
-
-TEST(FirstFitFromHome, NulloptWhenFull) {
-  cluster::Cluster c(2);
-  for (auto& inv : c.invokers()) inv.allocate(16, 7);
-  EXPECT_FALSE(
-      first_fit_from_home(ctx_with({1, 1, 1}, InvokerId{}, InvokerId(1)), c)
-          .has_value());
-}
-
 }  // namespace
 }  // namespace esg::platform
