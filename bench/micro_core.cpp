@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks of the scheduling core: ESG_1Q at several
-// group sizes and K values, dominator-tree construction, SLO distribution,
+// group sizes and K values, Orion's search per built-in app, Aquatope's
+// offline training, dominator-tree construction, SLO distribution,
 // placement, profile lookup, and raw simulator event throughput.
 //
 // The custom main also writes the rows as a BENCH_*.json-shaped baseline
@@ -14,7 +15,10 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/aquatope.hpp"
+#include "baselines/orion.hpp"
 #include "bench_util.hpp"
+#include "common/rng.hpp"
 #include "core/dominator.hpp"
 #include "core/esg_1q.hpp"
 #include "core/slo_distribution.hpp"
@@ -70,6 +74,50 @@ BENCHMARK(BM_Esg1q)
     ->Args({3, 5})
     ->Args({3, 80})
     ->Unit(benchmark::kMicrosecond);
+
+/// One entry-stage search of a built-in app at the moderate SLO, on a fresh
+/// scheduler at default Options (the 150,000-expansion cut-off).
+void BM_OrionSearch(benchmark::State& state, std::size_t app_index) {
+  const workload::AppDag& app = apps()[app_index];
+  platform::QueueView view;
+  view.app = app.id();
+  view.stage = app.entry();
+  view.function = app.node(view.stage).function;
+  view.dag = &app;
+  view.profiles = &profiles();
+  view.queue_length = 64;  // never short of a planned batch
+  view.slo_ms =
+      workload::slo_latency_ms(app, profiles(), workload::SloSetting::kModerate);
+  std::size_t expansions = 0;
+  for (auto _ : state) {
+    baselines::OrionScheduler orion(apps(), profiles());
+    const platform::PlanResult plan = orion.plan(view);
+    expansions += orion.total_expansions();
+    benchmark::DoNotOptimize(plan.candidates.data());
+  }
+  state.counters["expansions/iter"] =
+      static_cast<double>(expansions) / static_cast<double>(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_OrionSearch, image_classification, 0)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OrionSearch, depth_recognition, 1)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OrionSearch, background_elimination, 2)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OrionSearch, expanded_image_classification, 3)
+    ->Unit(benchmark::kMillisecond);
+
+/// Aquatope's offline training of one app at default Options: 100
+/// bootstrap samples, then 50 rounds of a GP fit and a 128-point EI pool.
+void BM_AquatopeTrain(benchmark::State& state) {
+  const std::vector<workload::AppDag> app = {apps()[0]};
+  for (auto _ : state) {
+    baselines::AquatopeScheduler aquatope(
+        app, profiles(), workload::SloSetting::kModerate, RngFactory(7));
+    benchmark::DoNotOptimize(aquatope.learned(app[0].id()).data());
+  }
+}
+BENCHMARK(BM_AquatopeTrain)->Unit(benchmark::kMillisecond);
 
 void BM_DominatorTree(benchmark::State& state) {
   const auto& app = apps()[3];  // 5-stage pipeline

@@ -181,5 +181,83 @@ TEST(BaselinesGolden, CorpusDigestIsPinned) {
       << "digest 0x" << std::hex << digest.value();
 }
 
+/// Sum of the profiled latencies of `configs` in stage order: the planned
+/// latency both plan-ahead schedulers sum the same way.
+TimeMs planned_latency(const Fixture& f, const workload::AppDag& app,
+                       const std::vector<profile::Config>& configs) {
+  TimeMs latency = 0.0;
+  for (workload::NodeIndex s = 0; s < app.size(); ++s) {
+    latency += f.profiles.table(app.node(s).function).at(configs.at(s)).latency_ms;
+  }
+  return latency;
+}
+
+void fold(Fnv1a& digest, const std::vector<profile::Config>& configs) {
+  digest.add_u64(configs.size());
+  for (const profile::Config& c : configs) {
+    digest.add_u64(c.batch);
+    digest.add_u64(c.vcpus);
+    digest.add_u64(c.vgpus);
+  }
+}
+
+// The corpus above shrinks both searches to keep it fast. This one runs them
+// at their default Options, the sizes perfbench and the paper's benches run:
+// Orion's full 150,000-expansion search of every built-in app under each SLO
+// setting, and Aquatope's full training (100 bootstrap samples, 50 rounds of
+// a 128-candidate EI pool) under each SLO setting and two seeds, plus one
+// training whose pool of 37 is not a multiple of a small power of two. The
+// digest was recorded before either search was optimised.
+TEST(BaselinesGolden, FullSizeDigestIsPinned) {
+  constexpr std::uint64_t kFullSizeDigest = 0x53254cd56522c86bull;
+  const Fixture f;
+  Fnv1a digest;
+  const workload::SloSetting settings[] = {workload::SloSetting::kStrict,
+                                           workload::SloSetting::kModerate,
+                                           workload::SloSetting::kRelaxed};
+  for (const workload::SloSetting slo : settings) {
+    OrionScheduler orion(f.apps, f.profiles);
+    for (const workload::AppDag& app : f.apps) {
+      std::vector<profile::Config> configs;
+      for (workload::NodeIndex s = 0; s < app.size(); ++s) {
+        platform::QueueView view;
+        view.app = app.id();
+        view.stage = s;
+        view.function = app.node(s).function;
+        view.dag = &app;
+        view.profiles = &f.profiles;
+        view.queue_length = 64;  // never short of a planned batch
+        view.slo_ms = workload::slo_latency_ms(app, f.profiles, slo);
+        const platform::PlanResult plan = orion.plan(view);
+        ASSERT_EQ(plan.candidates.size(), 1u);
+        configs.push_back(plan.candidates.front());
+        digest.add_f64(plan.overhead_ms);
+      }
+      fold(digest, configs);
+      digest.add_f64(planned_latency(f, app, configs));
+      digest.add_u64(orion.total_expansions());
+    }
+  }
+  const auto fold_aquatope = [&](const AquatopeScheduler& aquatope) {
+    for (const workload::AppDag& app : f.apps) {
+      const std::vector<profile::Config>& configs = aquatope.learned(app.id());
+      fold(digest, configs);
+      digest.add_f64(planned_latency(f, app, configs));
+    }
+  };
+  for (const workload::SloSetting slo : settings) {
+    for (const std::uint64_t seed : {23u, 61u}) {
+      fold_aquatope(AquatopeScheduler(f.apps, f.profiles, slo, RngFactory(seed)));
+    }
+  }
+  AquatopeScheduler::Options odd_pool;
+  odd_pool.ei_pool = 37;
+  fold_aquatope(AquatopeScheduler(f.apps, f.profiles,
+                                  workload::SloSetting::kModerate,
+                                  RngFactory(23), odd_pool));
+  EXPECT_EQ(digest.value(), kFullSizeDigest)
+      << "digest 0x" << std::hex << digest.value();
+}
+
 }  // namespace
 }  // namespace esg::baselines
