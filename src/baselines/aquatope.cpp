@@ -13,11 +13,8 @@ namespace esg::baselines {
 
 namespace {
 
-/// One candidate: a profile entry per stage, plus its normalised encoding.
-struct Candidate {
-  std::vector<const profile::ProfileEntry*> entries;
-  std::vector<double> x;  ///< 3 dims per stage, each in [0, 1]
-};
+/// One candidate: a profile entry per stage. The GP sees its encoding.
+using Candidate = std::vector<const profile::ProfileEntry*>;
 
 struct EncodingScale {
   double max_batch = 1.0;
@@ -25,8 +22,8 @@ struct EncodingScale {
   double max_vgpus = 1.0;
 };
 
-std::vector<double> encode(const std::vector<const profile::ProfileEntry*>& es,
-                           const EncodingScale& scale) {
+/// 3 dims per stage, each in [0, 1].
+std::vector<double> encode(const Candidate& es, const EncodingScale& scale) {
   std::vector<double> x;
   x.reserve(es.size() * 3);
   for (const auto* e : es) {
@@ -72,12 +69,11 @@ void AquatopeScheduler::train(const workload::AppDag& app,
 
   auto random_candidate = [&]() {
     Candidate c;
-    c.entries.reserve(stages);
+    c.reserve(stages);
     for (const auto* t : tables) {
       const auto entries = t->entries();
-      c.entries.push_back(&entries[rng.below(entries.size())]);
+      c.push_back(&entries[rng.below(entries.size())]);
     }
-    c.x = encode(c.entries, scale);
     return c;
   };
 
@@ -85,7 +81,7 @@ void AquatopeScheduler::train(const workload::AppDag& app,
   auto profile_once = [&](const Candidate& c) {
     TimeMs e2e = 0.0;
     Usd cost = 0.0;
-    for (const auto* e : c.entries) {
+    for (const auto* e : c) {
       const double noise =
           std::max(0.3, rng.gaussian(1.0, options_.train_noise_cv));
       e2e += e->latency_ms * noise;
@@ -95,31 +91,36 @@ void AquatopeScheduler::train(const workload::AppDag& app,
     return cost / cost_scale + options_.penalty * violation;
   };
 
+  // The observed candidates, their encodings (the GP's inputs, which only
+  // grow, so each fit factors just the new rows) and their scores.
   std::vector<Candidate> observed;
+  std::vector<std::vector<double>> xs;
   std::vector<double> y;
 
   for (std::size_t i = 0; i < options_.bootstrap_samples; ++i) {
     observed.push_back(random_candidate());
+    xs.push_back(encode(observed.back(), scale));
     y.push_back(profile_once(observed.back()));
   }
 
   bo::GaussianProcess gp;
   for (std::size_t round = 0; round < options_.rounds; ++round) {
-    std::vector<std::vector<double>> xs;
-    xs.reserve(observed.size());
-    for (const auto& c : observed) xs.push_back(c.x);
     gp.fit(xs, y);
 
     const double best_y = *std::min_element(y.begin(), y.end());
 
     // Score a random pool by expected improvement; evaluate the best few.
+    // The whole pool is drawn before it is scored: scoring draws no random
+    // numbers, so the stream is consumed in the same order.
     std::vector<Candidate> pool;
-    std::vector<double> ei;
+    std::vector<std::vector<double>> pool_xs;
     pool.reserve(options_.ei_pool);
+    pool_xs.reserve(options_.ei_pool);
     for (std::size_t i = 0; i < options_.ei_pool; ++i) {
       pool.push_back(random_candidate());
-      ei.push_back(gp.expected_improvement(pool.back().x, best_y));
+      pool_xs.push_back(encode(pool.back(), scale));
     }
+    const std::vector<double> ei = gp.expected_improvements(pool_xs, best_y);
     std::vector<std::size_t> order(pool.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::sort(order.begin(), order.end(),
@@ -127,6 +128,7 @@ void AquatopeScheduler::train(const workload::AppDag& app,
     const std::size_t take = std::min(options_.samples_per_round, pool.size());
     for (std::size_t i = 0; i < take; ++i) {
       observed.push_back(std::move(pool[order[i]]));
+      xs.push_back(std::move(pool_xs[order[i]]));
       y.push_back(profile_once(observed.back()));
     }
   }
@@ -137,7 +139,7 @@ void AquatopeScheduler::train(const workload::AppDag& app,
   std::vector<profile::Config> configs;
   TimeMs expected_latency = 0.0;
   configs.reserve(stages);
-  for (const auto* e : observed[best].entries) {
+  for (const auto* e : observed[best]) {
     configs.push_back(e->config);
     expected_latency += e->latency_ms;
   }

@@ -29,7 +29,9 @@ class GaussianProcess {
   explicit GaussianProcess(GpHyperparams hp = {}) : hp_(hp) {}
 
   /// Fits on inputs X (row-major, n x d) and targets y (internally
-  /// standardised). Replaces any previous fit.
+  /// standardised). Replaces any previous fit. When X extends the previous
+  /// fit's inputs, only the new rows of the Cholesky factor are computed:
+  /// the kernel is fixed, so the old rows are the same bit for bit.
   void fit(const std::vector<std::vector<double>>& x, const std::vector<double>& y);
 
   struct Prediction {
@@ -43,13 +45,20 @@ class GaussianProcess {
   [[nodiscard]] double expected_improvement(const std::vector<double>& x,
                                             double best_y) const;
 
+  /// expected_improvement() at each of `xs`, bit for bit: every point's sums
+  /// run in predict()'s order. The points are solved side by side, so their
+  /// independent sums overlap instead of each waiting on its last step.
+  [[nodiscard]] std::vector<double> expected_improvements(
+      const std::vector<std::vector<double>>& xs, double best_y) const;
+
   [[nodiscard]] bool fitted() const { return !x_.empty(); }
 
  private:
   GpHyperparams hp_;
   std::vector<std::vector<double>> x_;
   std::vector<double> alpha_;  // K^{-1} (y - mean)
-  std::vector<double> chol_;   // Cholesky factor of K
+  std::vector<double> chol_;   // Cholesky factor L of K (row-major, n x n)
+  std::vector<double> chol_t_;  // L^T (row-major), for back substitution
   double y_mean_ = 0.0;
   double y_std_ = 1.0;
 

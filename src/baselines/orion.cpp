@@ -8,7 +8,7 @@
 #include <queue>
 #include <set>
 #include <stdexcept>
-#include <unordered_set>
+#include <string>
 
 #include "baselines/follow_plan.hpp"
 #include "common/check.hpp"
@@ -17,42 +17,124 @@ namespace esg::baselines {
 
 namespace {
 
+/// A lattice state is one integer: 4 bits per axis index, each stage's
+/// (batch, vCPU, vGPU) indices in turn, stage 0 in the top bits. Five stages
+/// fill 60 bits, so apps are limited to kMaxStages stages and every axis to
+/// fewer than 16 values.
+using StateKey = std::uint64_t;
+constexpr std::size_t kIndexBits = 4;
+constexpr std::size_t kMaxStages = 5;
+constexpr std::size_t kMaxAxisValues = 15;
+
 /// Per-stage option axes: the distinct batch/vCPU/vGPU values present in the
-/// stage's profile, ascending. A lattice point maps back to a Config.
+/// stage's profile, ascending, and a dense (batch x vCPU x vGPU) grid of the
+/// profile's entries over them, null where the profile lacks that config
+/// (e.g. more vGPUs than batch).
 struct StageAxes {
-  std::vector<std::uint16_t> batches;
-  std::vector<std::uint16_t> vcpus;
-  std::vector<std::uint16_t> vgpus;
-  const profile::ProfileTable* table = nullptr;
+  std::array<std::vector<std::uint16_t>, 3> values;  // batch, vCPU, vGPU
+  std::vector<const profile::ProfileEntry*> grid;
+  std::array<unsigned, 3> shift{};  ///< each index's bit offset in the key
+
+  [[nodiscard]] std::size_t index(StateKey key, int d) const {
+    return (key >> shift[d]) & ((StateKey{1} << kIndexBits) - 1);
+  }
+  [[nodiscard]] std::size_t cell(std::size_t b, std::size_t c,
+                                 std::size_t g) const {
+    return (b * values[1].size() + c) * values[2].size() + g;
+  }
+  [[nodiscard]] const profile::ProfileEntry* entry(StateKey key) const {
+    return grid[cell(index(key, 0), index(key, 1), index(key, 2))];
+  }
 };
 
-StageAxes make_axes(const profile::ProfileTable& table) {
-  StageAxes axes;
-  axes.table = &table;
-  std::set<std::uint16_t> b, c, g;
-  for (const auto& e : table.entries()) {
-    b.insert(e.config.batch);
-    c.insert(e.config.vcpus);
-    g.insert(e.config.vgpus);
+/// The axes of every stage of `dag`. Throws std::invalid_argument for an app
+/// whose states do not fit the key.
+std::vector<StageAxes> make_axes(const workload::AppDag& dag,
+                                 const profile::ProfileSet& profiles) {
+  const std::size_t stages = dag.size();
+  if (stages > kMaxStages) {
+    throw std::invalid_argument("Orion: app '" + dag.name() + "' has " +
+                                std::to_string(stages) +
+                                " stages; the search handles at most " +
+                                std::to_string(kMaxStages));
   }
-  axes.batches.assign(b.begin(), b.end());
-  axes.vcpus.assign(c.begin(), c.end());
-  axes.vgpus.assign(g.begin(), g.end());
+  std::vector<StageAxes> axes(stages);
+  for (workload::NodeIndex s = 0; s < stages; ++s) {
+    const profile::ProfileTable& table = profiles.table(dag.node(s).function);
+    StageAxes& a = axes[s];
+    std::array<std::set<std::uint16_t>, 3> distinct;
+    for (const auto& e : table.entries()) {
+      distinct[0].insert(e.config.batch);
+      distinct[1].insert(e.config.vcpus);
+      distinct[2].insert(e.config.vgpus);
+    }
+    for (int d = 0; d < 3; ++d) {
+      if (distinct[d].size() > kMaxAxisValues) {
+        throw std::invalid_argument(
+            "Orion: a stage of app '" + dag.name() + "' has " +
+            std::to_string(distinct[d].size()) +
+            " values on one configuration axis; the search handles at most " +
+            std::to_string(kMaxAxisValues));
+      }
+      a.values[d].assign(distinct[d].begin(), distinct[d].end());
+      a.shift[d] = static_cast<unsigned>(kIndexBits *
+                                         (3 * (stages - 1 - s) + (2 - d)));
+    }
+    const auto position = [&a](int d, std::uint16_t v) {
+      return static_cast<std::size_t>(
+          std::lower_bound(a.values[d].begin(), a.values[d].end(), v) -
+          a.values[d].begin());
+    };
+    a.grid.assign(a.values[0].size() * a.values[1].size() * a.values[2].size(),
+                  nullptr);
+    for (const auto& e : table.entries()) {
+      a.grid[a.cell(position(0, e.config.batch), position(1, e.config.vcpus),
+                    position(2, e.config.vgpus))] = &e;
+    }
+  }
   return axes;
 }
 
-struct LatticeState {
-  // Per stage: indices into (batches, vcpus, vgpus).
-  std::vector<std::array<std::uint8_t, 3>> idx;
-
-  /// Packs the whole state into 4 bits per index (every axis in this repo
-  /// has < 16 options and workflows have <= 5 stages: 60 bits).
-  [[nodiscard]] std::uint64_t key() const {
-    std::uint64_t k = 0;
-    for (const auto& stage : idx) {
-      for (int d = 0; d < 3; ++d) k = (k << 4) | (stage[d] & 0xf);
+/// The states the search has generated: open addressing with linear
+/// probing, at most half full. No state key has all 64 bits set, so that
+/// value marks an empty slot.
+class SeenSet {
+ public:
+  /// Adds `key`; false if it was already present.
+  bool insert(StateKey key) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    for (std::size_t i = slot(key);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i] == key) return false;
+      if (slots_[i] == kEmpty) {
+        slots_[i] = key;
+        ++size_;
+        return true;
+      }
     }
-    return k;
+  }
+
+ private:
+  static constexpr StateKey kEmpty = ~StateKey{0};
+  std::vector<StateKey> slots_ = std::vector<StateKey>(1u << 12, kEmpty);
+  std::size_t size_ = 0;
+
+  /// The MurmurHash3 finaliser spreads the packed indices over the table.
+  [[nodiscard]] std::size_t slot(StateKey key) const {
+    key ^= key >> 33;
+    key *= 0xff51afd7ed558ccdull;
+    key ^= key >> 33;
+    return static_cast<std::size_t>(key) & (slots_.size() - 1);
+  }
+
+  void grow() {
+    std::vector<StateKey> old(slots_.size() * 2, kEmpty);
+    old.swap(slots_);
+    for (const StateKey key : old) {
+      if (key == kEmpty) continue;
+      std::size_t i = slot(key);
+      while (slots_[i] != kEmpty) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = key;
+    }
   }
 };
 
@@ -62,8 +144,10 @@ OrionScheduler::OrionScheduler(const std::vector<workload::AppDag>& apps,
                                const profile::ProfileSet& profiles,
                                Options options)
     : options_(options) {
-  (void)profiles;
-  for (const auto& app : apps) plans_.emplace(app.id(), AppPlan{});
+  for (const auto& app : apps) {
+    (void)make_axes(app, profiles);  // rejects an app the key cannot hold
+    plans_.emplace(app.id(), AppPlan{});
+  }
 }
 
 void OrionScheduler::search(const platform::QueueView& view, AppPlan& plan) {
@@ -77,38 +161,30 @@ void OrionScheduler::search(const platform::QueueView& view, AppPlan& plan) {
     return;
   }
 
-  const auto& dag = *view.dag;
-  const std::size_t stages = dag.size();
-
-  std::vector<StageAxes> axes;
-  axes.reserve(stages);
-  for (workload::NodeIndex s = 0; s < stages; ++s) {
-    axes.push_back(make_axes(view.profiles->table(dag.node(s).function)));
-  }
+  const std::vector<StageAxes> axes = make_axes(*view.dag, *view.profiles);
+  const std::size_t stages = axes.size();
 
   // Evaluates a lattice state; invalid states (config filtered from the
-  // profile, e.g. more vGPUs than batch) return no value.
-  auto evaluate = [&](const LatticeState& st)
-      -> std::optional<std::pair<TimeMs, Usd>> {
+  // profile) return no value. Stages are summed in order.
+  auto evaluate = [&](StateKey state) -> std::optional<std::pair<TimeMs, Usd>> {
     TimeMs latency = 0.0;
     Usd cost = 0.0;
-    for (std::size_t s = 0; s < stages; ++s) {
-      const profile::Config c{axes[s].batches[st.idx[s][0]],
-                              axes[s].vcpus[st.idx[s][1]],
-                              axes[s].vgpus[st.idx[s][2]]};
-      if (!axes[s].table->contains(c)) return std::nullopt;
-      const auto& e = axes[s].table->at(c);
-      latency += e.latency_ms;
-      cost += e.per_job_cost;
+    for (const StageAxes& a : axes) {
+      const profile::ProfileEntry* e = a.entry(state);
+      if (e == nullptr) return std::nullopt;
+      latency += e->latency_ms;
+      cost += e->per_job_cost;
     }
     return std::make_pair(latency * options_.p95_factor, cost);
   };
 
+  // An open-list entry holds only the priority and the state: P95 and cost
+  // are evaluated again on pop, by the same expression, so to the same bits.
+  // The heap's moves depend only on the comparisons of `f`, so the pop
+  // order, ties included, does not depend on what else an entry carries.
   struct QueueEntry {
     double f;  ///< latency-gap + cost-weighted priority
-    Usd cost;
-    TimeMs p95;
-    LatticeState state;
+    StateKey state;
     bool operator>(const QueueEntry& other) const { return f > other.f; }
   };
 
@@ -120,61 +196,55 @@ void OrionScheduler::search(const platform::QueueView& view, AppPlan& plan) {
     return std::max(0.0, p95 - view.slo_ms) + cost * 3.0e5;
   };
 
-  LatticeState start;
-  start.idx.assign(stages, {0, 0, 0});
-
+  const StateKey start = 0;  // every stage at its minimum values
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> open;
-  std::unordered_set<std::uint64_t> seen;
+  SeenSet seen;
   {
     const auto eval = evaluate(start);
     check(eval.has_value(), "Orion: minimum state must be valid");
-    open.push(QueueEntry{priority(eval->first, eval->second), eval->second,
-                         eval->first, start});
-    seen.insert(start.key());
+    open.push(QueueEntry{priority(eval->first, eval->second), start});
+    seen.insert(start);
   }
 
   std::size_t expanded = 0;
-  LatticeState best_state = start;
+  StateKey best_state = start;
   TimeMs best_gap = std::numeric_limits<TimeMs>::infinity();
   Usd best_feasible_cost = std::numeric_limits<Usd>::infinity();
   bool goal_found = false;
 
   while (!open.empty() && expanded < options_.max_expansions) {
-    const QueueEntry cur = open.top();
+    const StateKey cur = open.top().state;
     open.pop();
     ++expanded;
+    const auto [p95, cost] = *evaluate(cur);
 
-    if (cur.p95 <= view.slo_ms) {
+    if (p95 <= view.slo_ms) {
       // Feasible: keep searching within the budget for a cheaper feasible
       // state (Orion minimises cost subject to the P95 goal — batching and
       // resource trimming pay off here, and those batched plans are what
       // later miss when queues run short, Table 4).
-      if (cur.cost < best_feasible_cost) {
-        best_feasible_cost = cur.cost;
-        best_state = cur.state;
+      if (cost < best_feasible_cost) {
+        best_feasible_cost = cost;
+        best_state = cur;
         goal_found = true;
       }
     } else if (!goal_found) {
-      const TimeMs gap = cur.p95 - view.slo_ms;
+      const TimeMs gap = p95 - view.slo_ms;
       if (gap < best_gap) {
         best_gap = gap;
-        best_state = cur.state;
+        best_state = cur;
       }
     }
 
-    for (std::size_t s = 0; s < stages; ++s) {
-      const std::array<std::size_t, 3> limits = {axes[s].batches.size(),
-                                                 axes[s].vcpus.size(),
-                                                 axes[s].vgpus.size()};
+    // A successor increments one index: one stage's field of the key.
+    for (const StageAxes& a : axes) {
       for (int d = 0; d < 3; ++d) {
-        if (cur.state.idx[s][d] + 1u >= limits[d]) continue;
-        LatticeState next = cur.state;
-        ++next.idx[s][d];
-        if (!seen.insert(next.key()).second) continue;
+        if (a.index(cur, d) + 1 >= a.values[d].size()) continue;
+        const StateKey next = cur + (StateKey{1} << a.shift[d]);
+        if (!seen.insert(next)) continue;
         const auto eval = evaluate(next);
         if (!eval.has_value()) continue;
-        open.push(QueueEntry{priority(eval->first, eval->second), eval->second,
-                             eval->first, next});
+        open.push(QueueEntry{priority(eval->first, eval->second), next});
       }
     }
   }
@@ -185,12 +255,10 @@ void OrionScheduler::search(const platform::QueueView& view, AppPlan& plan) {
   plan.configs.clear();
   plan.configs.reserve(stages);
   plan.planned_latency_ms = 0.0;
-  for (std::size_t s = 0; s < stages; ++s) {
-    const profile::Config c{axes[s].batches[best_state.idx[s][0]],
-                            axes[s].vcpus[best_state.idx[s][1]],
-                            axes[s].vgpus[best_state.idx[s][2]]};
-    plan.configs.push_back(c);
-    plan.planned_latency_ms += axes[s].table->at(c).latency_ms;
+  for (const StageAxes& a : axes) {
+    const profile::ProfileEntry& e = *a.entry(best_state);
+    plan.configs.push_back(e.config);
+    plan.planned_latency_ms += e.latency_ms;
   }
   plan.have_plan = true;
   plan.needs_refresh = false;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace esg::baselines::bo {
 namespace {
@@ -55,7 +60,7 @@ TEST(GaussianProcess, UncertaintyGrowsAwayFromData) {
 
 TEST(GaussianProcess, PredictBeforeFitThrows) {
   GaussianProcess gp;
-  EXPECT_THROW(gp.predict({0.0}), std::logic_error);
+  EXPECT_THROW((void)gp.predict({0.0}), std::logic_error);
   EXPECT_FALSE(gp.fitted());
 }
 
@@ -90,6 +95,113 @@ TEST(ExpectedImprovement, PrefersPromisingRegions) {
   const double best = 1.0;
   EXPECT_GT(gp.expected_improvement({0.75}, best),
             gp.expected_improvement({0.0}, best));
+}
+
+using Points = std::vector<std::vector<double>>;
+
+/// `count` points in [0, 1]^9, the encoding of a 3-stage Aquatope candidate.
+Points random_points(RngStream& rng, std::size_t count) {
+  Points points(count, std::vector<double>(9));
+  for (auto& p : points) {
+    for (double& v : p) v = rng.uniform(0.0, 1.0);
+  }
+  return points;
+}
+
+std::vector<double> random_targets(RngStream& rng, std::size_t count) {
+  std::vector<double> y(count);
+  for (double& v : y) v = rng.uniform(0.0, 3.0);
+  return y;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// predict() of `gp` and of a GP fitted afresh on (x, y) agree bit for bit.
+void expect_matches_fresh_fit(const GaussianProcess& gp, const Points& x,
+                              const std::vector<double>& y,
+                              const Points& queries) {
+  GaussianProcess fresh;
+  fresh.fit(x, y);
+  for (const auto& q : queries) {
+    const auto a = gp.predict(q);
+    const auto b = fresh.predict(q);
+    EXPECT_EQ(bits(a.mean), bits(b.mean));
+    EXPECT_EQ(bits(a.variance), bits(b.variance));
+  }
+}
+
+TEST(GaussianProcess, ExtendingFitMatchesAFreshFit) {
+  RngStream rng = RngFactory(3).stream("gp-extend");
+  const Points x = random_points(rng, 60);
+  const std::vector<double> y = random_targets(rng, 60);
+  const Points queries = random_points(rng, 16);
+  GaussianProcess gp;
+  // The first fit, then extensions by one, several and many points.
+  for (const std::size_t n : {20u, 21u, 26u, 60u}) {
+    const Points xn(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(n));
+    const std::vector<double> yn(y.begin(),
+                                 y.begin() + static_cast<std::ptrdiff_t>(n));
+    gp.fit(xn, yn);
+    expect_matches_fresh_fit(gp, xn, yn, queries);
+  }
+}
+
+TEST(GaussianProcess, RefitOnOtherInputsMatchesAFreshFit) {
+  RngStream rng = RngFactory(4).stream("gp-refit");
+  const Points queries = random_points(rng, 16);
+  GaussianProcess gp;
+  Points x = random_points(rng, 30);
+  std::vector<double> y = random_targets(rng, 30);
+  gp.fit(x, y);
+
+  // Longer, but the first point differs.
+  Points other = random_points(rng, 35);
+  std::vector<double> other_y = random_targets(rng, 35);
+  gp.fit(other, other_y);
+  expect_matches_fresh_fit(gp, other, other_y, queries);
+
+  // The same inputs but one, with new targets.
+  other[17][4] += 0.25;
+  other_y = random_targets(rng, 35);
+  gp.fit(other, other_y);
+  expect_matches_fresh_fit(gp, other, other_y, queries);
+
+  // A prefix of the previous inputs.
+  other.resize(12);
+  other_y.resize(12);
+  gp.fit(other, other_y);
+  expect_matches_fresh_fit(gp, other, other_y, queries);
+}
+
+TEST(ExpectedImprovement, PoolScoringMatchesPerPointBits) {
+  RngStream rng = RngFactory(5).stream("gp-pool");
+  const Points x = random_points(rng, 50);
+  const std::vector<double> y = random_targets(rng, 50);
+  GaussianProcess gp;
+  gp.fit(x, y);
+  const double best = 1.5;
+  EXPECT_TRUE(gp.expected_improvements({}, best).empty());
+  for (const std::size_t size : {1u, 7u, 9u, 128u}) {
+    // Every other point lies close to a training point, where the solves'
+    // last bits reach the predictive variance; the last is a training point.
+    Points pool = random_points(rng, size);
+    for (std::size_t c = 0; c < size; c += 2) {
+      pool[c] = x[rng.below(x.size())];
+      for (double& v : pool[c]) v += rng.uniform(-0.05, 0.05);
+    }
+    pool.back() = x[size % x.size()];
+    const std::vector<double> ei = gp.expected_improvements(pool, best);
+    ASSERT_EQ(ei.size(), size);
+    for (std::size_t c = 0; c < size; ++c) {
+      EXPECT_EQ(bits(ei[c]), bits(gp.expected_improvement(pool[c], best)))
+          << "pool of " << size << ", point " << c;
+    }
+  }
+}
+
+TEST(ExpectedImprovement, PoolScoringBeforeFitThrows) {
+  const GaussianProcess gp;
+  EXPECT_THROW((void)gp.expected_improvements({{0.0}}, 0.0), std::logic_error);
 }
 
 }  // namespace

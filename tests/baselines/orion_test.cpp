@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
 #include "workload/applications.hpp"
+#include "workload/dag.hpp"
 
 namespace esg::baselines {
 namespace {
@@ -132,6 +137,57 @@ TEST(Orion, NoRepeatSearchWithoutDispatch) {
   const std::size_t once = sched.total_expansions();
   (void)sched.plan(view);
   EXPECT_EQ(sched.total_expansions(), once);
+}
+
+// A search state packs 4 bits per axis index, 12 per stage, into 64 bits:
+// apps of more than 5 stages and axes of 16 or more values would collide in
+// the seen set, so the constructor rejects them.
+TEST(Orion, RejectsAppsBeyondFiveStages) {
+  const profile::ProfileSet profiles = profile::ProfileSet::builtin();
+  std::vector<FunctionId> functions(6, profile::id_of(profile::Function::kDeblur));
+  const std::vector<workload::AppDag> six = {
+      workload::make_pipeline(AppId(9), "six", functions)};
+  EXPECT_THROW((OrionScheduler{six, profiles}), std::invalid_argument);
+
+  functions.pop_back();
+  const std::vector<workload::AppDag> five = {
+      workload::make_pipeline(AppId(9), "five", functions)};
+  OrionScheduler::Options opts;
+  opts.max_expansions = 2'000;
+  OrionScheduler sched(five, profiles, opts);
+  platform::QueueView view;
+  view.app = five[0].id();
+  view.stage = 0;
+  view.function = five[0].node(0).function;
+  view.dag = &five[0];
+  view.profiles = &profiles;
+  view.queue_length = 64;
+  view.slo_ms = workload::slo_latency_ms(five[0], profiles,
+                                         workload::SloSetting::kModerate);
+  EXPECT_EQ(sched.plan(view).candidates.size(), 1u);
+}
+
+TEST(Orion, RejectsAnAxisOfSixteenValues) {
+  const std::vector<workload::AppDag> apps = workload::builtin_applications();
+  profile::ConfigSpaceOptions wide;
+  wide.batches.clear();
+  for (std::uint16_t b = 1; b <= 16; ++b) wide.batches.push_back(b);
+  EXPECT_THROW((OrionScheduler{apps, profile::ProfileSet::builtin(wide)}),
+               std::invalid_argument);
+
+  wide.batches.pop_back();  // 15 values fit
+  EXPECT_NO_THROW((OrionScheduler{apps, profile::ProfileSet::builtin(wide)}));
+}
+
+TEST(Orion, AcceptsTheBuiltInAndDenseConfigSpaces) {
+  const std::vector<workload::AppDag> apps = workload::builtin_applications();
+  EXPECT_NO_THROW((OrionScheduler{apps, profile::ProfileSet::builtin()}));
+  // Figure 11's denser space.
+  profile::ConfigSpaceOptions dense;
+  dense.batches = {1, 2, 3, 4, 6, 8, 12, 16};
+  dense.vcpus = {1, 2, 4, 8};
+  dense.vgpus = {1, 2, 3, 4, 5, 6, 7};
+  EXPECT_NO_THROW((OrionScheduler{apps, profile::ProfileSet::builtin(dense)}));
 }
 
 }  // namespace

@@ -1,29 +1,63 @@
-# esg_sim must reject every configuration error below with exit code 2 and
-# an "esg_sim:" message on stderr: not 1 (a runtime failure) and not 134
-# (an exception escaping a worker thread). Some rows fail while the flags
-# are parsed, others only once run_scenario checks the scenario, with one
-# seed or with several seeds running on the replica pool. Run as
+# The CLIs must reject every configuration error below with exit code 2 and
+# a message on stderr that starts with the CLI's name: not 1 (a runtime
+# failure) and not 134 (an exception escaping a worker thread). Some rows
+# fail while the flags are parsed, others only once run_scenario checks the
+# scenario, with one seed or with several seeds running on the replica pool.
+# Run as
 #
-#   cmake -DESG_SIM=<path to esg_sim> -P esg_sim_exit_codes.cmake
+#   cmake -DESG_SIM=<path to esg_sim> -DESG_TRACEGEN=<path to esg_tracegen>
+#         -P esg_sim_exit_codes.cmake
 #
-# Each expect_config_error() call is one row: its arguments are esg_sim's,
-# and "\;" is a semicolon inside an argument.
-if(NOT ESG_SIM)
-  message(FATAL_ERROR "usage: cmake -DESG_SIM=<path to esg_sim> -P ${CMAKE_CURRENT_LIST_FILE}")
+# Each expect_config_error() call is one esg_sim row: its arguments are
+# esg_sim's, and "\;" is a semicolon inside an argument. A row that starts
+# with SAYS <text> also wants <text> in the message.
+if(NOT ESG_SIM OR NOT ESG_TRACEGEN)
+  message(FATAL_ERROR "usage: cmake -DESG_SIM=<path to esg_sim> "
+                      "-DESG_TRACEGEN=<path to esg_tracegen> "
+                      "-P ${CMAKE_CURRENT_LIST_FILE}")
 endif()
 
 set(rows 0)
-function(expect_config_error)
-  execute_process(COMMAND "${ESG_SIM}" ${ARGN}
-                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-  if(NOT rc STREQUAL "2" OR NOT err MATCHES "^esg_sim: ")
-    list(JOIN ARGN " " shown)
-    message(SEND_ERROR "esg_sim ${shown}: exit ${rc}, want 2 and an "
-                       "esg_sim: message; stderr:\n${err}")
+# Reports a row that did not exit 2 with a "<name>: " message containing
+# `text`.
+function(check_row rc err name text shown)
+  string(FIND "${err}" "${text}" at)
+  if(NOT rc STREQUAL "2" OR NOT err MATCHES "^${name}: " OR at EQUAL -1)
+    set(want "2 and a ${name}: message")
+    if(text)
+      string(APPEND want " saying '${text}'")
+    endif()
+    message(SEND_ERROR "${shown}: exit ${rc}, want ${want}; stderr:\n${err}")
   endif()
+endfunction()
+
+function(expect_config_error)
+  set(text "")
+  set(args "${ARGN}")
+  if(ARGV0 STREQUAL "SAYS")
+    set(text "${ARGV1}")
+    list(SUBLIST args 2 -1 args)
+  endif()
+  execute_process(COMMAND "${ESG_SIM}" ${args}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  list(JOIN args " " shown)
+  check_row("${rc}" "${err}" esg_sim "${text}" "esg_sim ${shown}")
   math(EXPR count "${rows} + 1")
   set(rows ${count} PARENT_SCOPE)
 endfunction()
+
+function(expect_tracegen_error)
+  execute_process(COMMAND "${ESG_TRACEGEN}" ${ARGN}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  list(JOIN ARGN " " shown)
+  check_row("${rc}" "${err}" esg_tracegen "" "esg_tracegen ${shown}")
+  math(EXPR count "${rows} + 1")
+  set(rows ${count} PARENT_SCOPE)
+endfunction()
+
+# Flags and spec grammars.
+expect_config_error(SAYS --fault-spec --fault-spec explode:prob=1)
+expect_config_error(--horizon-ms nan)
 
 # Elastic fleet and spot reclamation.
 expect_config_error(--elastic gradient)
@@ -62,4 +96,11 @@ foreach(seeds 1 3)
                       --tenants "a:1:apps=0,9\;b:1")
 endforeach()
 
-message(STATUS "${rows} esg_sim configuration-error rows checked")
+# Workload traces.
+set(bad_trace "${CMAKE_CURRENT_BINARY_DIR}/esg_sim_exit_codes_bad_trace.csv")
+file(WRITE "${bad_trace}" "esg-trace,v1,bin_ms=500,apps=2\n0,0,nan\n")
+expect_config_error(SAYS "workload-trace line 2" --arrivals "trace:@${bad_trace}")
+expect_config_error(--arrivals trace:@/no/such/file.csv)
+expect_tracegen_error(--bins 0)
+
+message(STATUS "${rows} configuration-error rows checked")
