@@ -110,8 +110,8 @@ void AquatopeScheduler::train(const workload::AppDag& app,
     const double best_y = *std::min_element(y.begin(), y.end());
 
     // Score a random pool by expected improvement; evaluate the best few.
-    // The whole pool is drawn before it is scored: scoring draws no random
-    // numbers, so the stream is consumed in the same order.
+    // The whole pool is drawn, then scored in one call, which draws no
+    // random numbers.
     std::vector<Candidate> pool;
     std::vector<std::vector<double>> pool_xs;
     pool.reserve(options_.ei_pool);

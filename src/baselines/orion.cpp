@@ -9,6 +9,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "baselines/follow_plan.hpp"
 #include "common/check.hpp"
@@ -53,10 +54,8 @@ std::vector<StageAxes> make_axes(const workload::AppDag& dag,
                                  const profile::ProfileSet& profiles) {
   const std::size_t stages = dag.size();
   if (stages > kMaxStages) {
-    throw std::invalid_argument("Orion: app '" + dag.name() + "' has " +
-                                std::to_string(stages) +
-                                " stages; the search handles at most " +
-                                std::to_string(kMaxStages));
+    throw std::invalid_argument("Orion: app '" + dag.name() +
+                                "' has more than 5 stages");
   }
   std::vector<StageAxes> axes(stages);
   for (workload::NodeIndex s = 0; s < stages; ++s) {
@@ -70,11 +69,9 @@ std::vector<StageAxes> make_axes(const workload::AppDag& dag,
     }
     for (int d = 0; d < 3; ++d) {
       if (distinct[d].size() > kMaxAxisValues) {
-        throw std::invalid_argument(
-            "Orion: a stage of app '" + dag.name() + "' has " +
-            std::to_string(distinct[d].size()) +
-            " values on one configuration axis; the search handles at most " +
-            std::to_string(kMaxAxisValues));
+        throw std::invalid_argument("Orion: app '" + dag.name() +
+                                    "' has a configuration axis of 16 or "
+                                    "more values");
       }
       a.values[d].assign(distinct[d].begin(), distinct[d].end());
       a.shift[d] = static_cast<unsigned>(kIndexBits *
@@ -127,13 +124,11 @@ class SeenSet {
   }
 
   void grow() {
-    std::vector<StateKey> old(slots_.size() * 2, kEmpty);
-    old.swap(slots_);
+    const std::vector<StateKey> old = std::exchange(
+        slots_, std::vector<StateKey>(slots_.size() * 2, kEmpty));
+    size_ = 0;
     for (const StateKey key : old) {
-      if (key == kEmpty) continue;
-      std::size_t i = slot(key);
-      while (slots_[i] != kEmpty) i = (i + 1) & (slots_.size() - 1);
-      slots_[i] = key;
+      if (key != kEmpty) insert(key);
     }
   }
 };

@@ -33,6 +33,9 @@ class OrionScheduler : public platform::Scheduler {
     core::OverheadModel overhead;
   };
 
+  /// Throws std::invalid_argument for an app of more than 5 stages, or with
+  /// a stage whose profile has 16 or more values on one configuration axis:
+  /// a search state packs 4 bits per axis index into 64 bits.
   OrionScheduler(const std::vector<workload::AppDag>& apps,
                  const profile::ProfileSet& profiles, Options options);
   OrionScheduler(const std::vector<workload::AppDag>& apps,
