@@ -11,6 +11,11 @@
 // entries, true when its first argument ranks ahead, and `Rank::kName`
 // names the scheduler. It is a template parameter so that the sorts in
 // plan() call it inline.
+//
+// A profile table is latency-sorted, so the entries that meet a slice are
+// its first k, and the entries a queue of length L can fill are those of
+// one batch view. plan() therefore ranks each such list once, the first
+// time it is needed, and keeps it (DESIGN.md §5).
 #pragma once
 
 #include <cstddef>
@@ -31,6 +36,8 @@ class StaticSliceScheduler : public platform::Scheduler {
     std::size_t candidates = 3;  ///< configurations offered per plan
   };
 
+  /// `profiles` must outlive the scheduler: the rankings point into it, and
+  /// plan() throws std::logic_error for a view that names another set.
   StaticSliceScheduler(const std::vector<workload::AppDag>& apps,
                        const profile::ProfileSet& profiles, Options options);
   StaticSliceScheduler(const std::vector<workload::AppDag>& apps,
@@ -50,8 +57,19 @@ class StaticSliceScheduler : public platform::Scheduler {
   [[nodiscard]] bool prefers_locality() const override { return false; }
 
  private:
+  using Ranking = std::vector<const profile::ProfileEntry*>;
+  /// One function's rankings, each built on first use (empty until then):
+  /// fitting[k] ranks the table's first k entries, draining[c] the c
+  /// entries whose batch the queue can fill.
+  struct Rankings {
+    std::vector<Ranking> fitting;
+    std::vector<Ranking> draining;
+  };
+
   Options options_;
+  const profile::ProfileSet* profiles_;
   std::unordered_map<AppId, ServiceTimeSplit> splits_;
+  std::unordered_map<FunctionId, Rankings> rankings_;
 };
 
 }  // namespace esg::baselines

@@ -37,9 +37,10 @@ void Invoker::index_erase_warm() {
   }
 }
 
-void Invoker::prune_expired(FunctionId function, TimeMs now) const {
+Invoker::WarmPool::iterator Invoker::prune_expired(FunctionId function,
+                                                   TimeMs now) const {
   auto it = warm_.find(function);
-  if (it == warm_.end()) return;
+  if (it == warm_.end()) return it;
   auto& entries = it->second;
   if (warm_callback_) {
     for (const WarmEntry& e : entries) {
@@ -49,18 +50,18 @@ void Invoker::prune_expired(FunctionId function, TimeMs now) const {
     }
   }
   std::erase_if(entries, [now](const WarmEntry& e) { return e.expiry <= now; });
-  if (entries.empty()) warm_.erase(it);
+  if (!entries.empty()) return it;
+  warm_.erase(it);
+  return warm_.end();
 }
 
 std::size_t Invoker::warm_count(FunctionId function, TimeMs now) const {
-  prune_expired(function, now);
-  auto it = warm_.find(function);
+  const auto it = prune_expired(function, now);
   return it == warm_.end() ? 0 : it->second.size();
 }
 
 bool Invoker::acquire_warm(FunctionId function, TimeMs now) {
-  prune_expired(function, now);
-  auto it = warm_.find(function);
+  const auto it = prune_expired(function, now);
   if (it == warm_.end()) return false;
   auto& entries = it->second;
   auto soonest = std::min_element(
@@ -170,8 +171,7 @@ void Invoker::flush_warm_spans(TimeMs now) const {
   functions.reserve(warm_.size());
   for (const auto& [fn, _] : warm_) functions.push_back(fn);
   for (FunctionId fn : functions) {
-    prune_expired(fn, now);  // reports expiries first
-    auto it = warm_.find(fn);
+    const auto it = prune_expired(fn, now);  // reports expiries first
     if (it == warm_.end()) continue;
     for (const WarmEntry& e : it->second) {
       warm_callback_(id_, fn, e.since, now, WarmEnd::kOpen);

@@ -158,6 +158,7 @@ class Invoker {
     TimeMs expiry = 0.0;  ///< when the keep-alive window runs out
     TimeMs since = 0.0;   ///< when the container was parked
   };
+  using WarmPool = std::unordered_map<FunctionId, std::vector<WarmEntry>>;
 
   InvokerId id_;
   NodeCapacity capacity_;
@@ -167,11 +168,13 @@ class Invoker {
   NodeState state_ = NodeState::kActive;
   // function -> idle warm containers (unsorted, tiny lists).
   // Mutable: const queries prune expired entries lazily.
-  mutable std::unordered_map<FunctionId, std::vector<WarmEntry>> warm_;
+  mutable WarmPool warm_;
   WarmSpanCallback warm_callback_;
   ClusterStateIndex* index_ = nullptr;  // owned by Cluster; null when detached
 
-  void prune_expired(FunctionId function, TimeMs now) const;
+  /// Drops `function`'s containers expired at `now`; returns its pool entry,
+  /// or warm_.end() when none is left (one lookup for the caller's query).
+  WarmPool::iterator prune_expired(FunctionId function, TimeMs now) const;
   void index_erase_warm();
 };
 

@@ -22,7 +22,7 @@ struct Counters {
 
   // src/platform controller scan.
   std::uint64_t scan_rounds = 0;   ///< controller scan() invocations
-  std::uint64_t queue_visits = 0;  ///< per-AFW-queue process_queue() visits
+  std::uint64_t queue_visits = 0;  ///< process_queue() visits (non-empty queues)
   std::uint64_t afw_peeks = 0;     ///< AFW queue head peeks (plan-view builds)
   std::uint64_t plans = 0;         ///< Scheduler::plan() calls
   std::uint64_t replans = 0;       ///< plan() calls that replaced a cached plan

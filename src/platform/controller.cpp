@@ -1,10 +1,11 @@
 #include "platform/controller.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 #include "common/check.hpp"
 #include "perf/profiler.hpp"
@@ -69,12 +70,10 @@ Controller::Controller(sim::Simulator& sim, cluster::Cluster& cluster,
       queues_.push_back(std::move(queue));
     }
   }
-  if (fq_ != nullptr) {
-    tenant_queues_.assign(fq_->tenant_count(), {});
-    for (std::size_t qi = 0; qi < queues_.size(); ++qi) {
-      tenant_queues_[0].push_back(qi);
-    }
-  }
+  tenant_queues_.assign(fq_ != nullptr ? fq_->tenant_count() : 1, {});
+  nonempty_.assign(tenant_queues_.size(), {});
+  for (std::size_t qi = 0; qi < queues_.size(); ++qi) add_to_scan(qi);
+  votes_.assign(cluster_.size(), 0);
 
   if (rec_ != nullptr && rec_->is_enabled()) announce_trace_tracks();
 
@@ -197,8 +196,56 @@ std::size_t Controller::queue_of(AppId app, workload::NodeIndex stage,
   const std::size_t qi = queues_.size();
   queue_index_.emplace(key, qi);
   queues_.push_back(std::move(queue));
-  tenant_queues_[tenant].push_back(qi);
+  add_to_scan(qi);
   return qi;
+}
+
+void Controller::add_to_scan(std::size_t qi) {
+  AfwQueue& queue = queues_[qi];
+  std::vector<std::size_t>& order = tenant_queues_[queue.tenant];
+  queue.slot = order.size();
+  order.push_back(qi);
+  nonempty_[queue.tenant].resize((order.size() + 63) / 64);
+}
+
+void Controller::mark_nonempty(const AfwQueue& queue) {
+  nonempty_[queue.tenant][queue.slot / 64] |= std::uint64_t{1}
+                                              << (queue.slot % 64);
+}
+
+void Controller::mark_if_drained(const AfwQueue& queue) {
+  if (!queue.jobs.empty()) return;
+  // Every path that empties a queue drops its plan first, so a queue that
+  // gains a job later plans afresh whether or not a scan saw it empty.
+  check(queue.planned_length == AfwQueue::kNoPlan,
+        "mark_if_drained: a drained queue keeps its plan");
+  nonempty_[queue.tenant][queue.slot / 64] &=
+      ~(std::uint64_t{1} << (queue.slot % 64));
+}
+
+bool Controller::any_queue_nonempty() const {
+  return std::any_of(nonempty_.begin(), nonempty_.end(), [](const auto& bits) {
+    return std::any_of(bits.begin(), bits.end(),
+                       [](std::uint64_t word) { return word != 0; });
+  });
+}
+
+void Controller::check_queue_invariants() const {
+  for (std::size_t t = 0; t < tenant_queues_.size(); ++t) {
+    const std::vector<std::size_t>& order = tenant_queues_[t];
+    check(nonempty_[t].size() == (order.size() + 63) / 64,
+          "check_queue_invariants: bitmap size differs from the scan order");
+    for (std::size_t slot = 0; slot < order.size(); ++slot) {
+      const AfwQueue& queue = queues_[order[slot]];
+      check(queue.tenant == t && queue.slot == slot,
+            "check_queue_invariants: queue filed under the wrong slot");
+      const bool bit = ((nonempty_[t][slot / 64] >> (slot % 64)) & 1u) != 0;
+      check(bit == !queue.jobs.empty(),
+            "check_queue_invariants: bit differs from the queue's emptiness");
+      check(!queue.jobs.empty() || queue.planned_length == AfwQueue::kNoPlan,
+            "check_queue_invariants: an empty queue holds a plan");
+    }
+  }
 }
 
 TimeMs Controller::slo_of(AppId app) const { return slo_ms_.at(app.get()); }
@@ -304,6 +351,7 @@ void Controller::enqueue_job(RequestId request, AppId app,
   job.enqueue_ms = now;
   job.input_location = input_location;
   queue.push_back_job(std::move(job));
+  mark_nonempty(queue);
 
   ensure_scan_scheduled();
 }
@@ -349,11 +397,6 @@ void Controller::ensure_scan_scheduled() {
   sim_.schedule_in(0.0, [this] { scan(); });
 }
 
-bool Controller::any_queue_nonempty() const {
-  return std::any_of(queues_.begin(), queues_.end(),
-                     [](const AfwQueue& q) { return !q.jobs.empty(); });
-}
-
 perf::Counters Controller::perf_counters() const {
   perf::Counters c = counters_;
   if (prewarm_) {
@@ -368,35 +411,56 @@ void Controller::scan() {
   scan_scheduled_ = false;
   ++counters_.scan_rounds;
   if (fq_ == nullptr) {
-    const std::size_t q_count = queues_.size();
     // Round-robin over the AFW queues; queues whose placement failed are
     // naturally rechecked on the next scan (Section 3.1's recheck list).
-    for (std::size_t k = 0; k < q_count; ++k) {
-      process_queue((rr_cursor_ + k) % q_count);
-    }
-    rr_cursor_ = (rr_cursor_ + 1) % q_count;
+    scan_tenant(0);
   } else {
     // Fair-queue scan: tenants in ascending virtual-time order (the flow
     // that has received the least weighted service goes first), round-robin
     // inside each tenant's queues. A flow more than T ahead of the slowest
     // active one is skipped this round when gating is on (MQFQ throttle);
-    // any_queue_nonempty() below still re-arms the scan, so the flow resumes
-    // as soon as the laggard catches up.
+    // its queues still hold jobs, so the scan re-arms below and the flow
+    // resumes as soon as the laggard catches up.
     for (const std::uint32_t t : fq_->ordered_tenants()) {
       if (fq_->gating() && fq_->throttled(t)) continue;
-      const std::vector<std::size_t>& qs = tenant_queues_[t];
-      if (qs.empty()) continue;
-      const std::size_t n = qs.size();
-      for (std::size_t k = 0; k < n; ++k) {
-        process_queue(qs[(rr_cursor_ + k) % n]);
-      }
+      scan_tenant(t);
     }
-    rr_cursor_ = (rr_cursor_ + 1) % queues_.size();
   }
+  rr_cursor_ = (rr_cursor_ + 1) % queues_.size();
 
   if (any_queue_nonempty()) {
     scan_scheduled_ = true;
     sim_.schedule_in(options_.scan_interval_ms, [this] { scan(); });
+  }
+}
+
+void Controller::scan_tenant(std::uint32_t t) {
+  const std::vector<std::size_t>& order = tenant_queues_[t];
+  const std::vector<std::uint64_t>& bits = nonempty_[t];
+  const std::size_t n = order.size();
+  if (n == 0) return;
+  // The first set bit in [from, end), or `end`. Reads the live words: a
+  // dispatch may clear bits behind the walk, and no queue gains jobs during
+  // a scan (dispatch and provisioning only schedule events).
+  const auto next = [&bits](std::size_t from, std::size_t end) {
+    while (from < end) {
+      const std::uint64_t word = bits[from / 64] >> (from % 64);
+      if (word != 0) {
+        return std::min(end, from + static_cast<std::size_t>(
+                                        std::countr_zero(word)));
+      }
+      from = (from / 64 + 1) * 64;
+    }
+    return end;
+  };
+  // Positions rr_cursor_ % n .. n-1, then 0 .. rr_cursor_ % n - 1: the
+  // order of visiting every queue (rr_cursor_ + k) % n, less the empty ones.
+  const std::size_t start = rr_cursor_ % n;
+  for (std::size_t i = next(start, n); i < n; i = next(i + 1, n)) {
+    process_queue(order[i]);
+  }
+  for (std::size_t i = next(0, start); i < start; i = next(i + 1, start)) {
+    process_queue(order[i]);
   }
 }
 
@@ -437,18 +501,24 @@ profile::Config Controller::clamp_for_ablation(profile::Config c) const {
 }
 
 InvokerId Controller::majority_input_location(const AfwQueue& queue,
-                                              std::uint16_t batch) const {
-  std::unordered_map<std::uint32_t, std::size_t> votes;
-  std::size_t counted = 0;
-  for (const Job& job : queue.jobs) {
-    if (counted++ == batch) break;
-    if (job.input_location.valid()) ++votes[job.input_location.get()];
+                                              std::uint16_t batch) {
+  const auto first = queue.jobs.begin();
+  const auto last =
+      first + static_cast<std::ptrdiff_t>(
+                  std::min<std::size_t>(batch, queue.jobs.size()));
+  for (auto it = first; it != last; ++it) {
+    if (it->input_location.valid()) ++votes_[it->input_location.get()];
   }
+  // The most votes win and the lowest id breaks a tie, whatever the order
+  // the jobs are read in. Reading a tally resets it for the next call.
   InvokerId best;
-  std::size_t best_votes = 0;
-  for (const auto& [id, n] : votes) {
+  std::uint32_t best_votes = 0;
+  for (auto it = first; it != last; ++it) {
+    if (!it->input_location.valid()) continue;
+    const std::uint32_t id = it->input_location.get();
+    const std::uint32_t n = std::exchange(votes_[id], 0);
     if (n > best_votes || (n == best_votes && best.valid() && id < best.get())) {
-      best = InvokerId(id);
+      best = it->input_location;
       best_votes = n;
     }
   }
@@ -459,10 +529,7 @@ void Controller::process_queue(std::size_t qi) {
   ESG_PROF_SCOPE("controller/process_queue");
   ++counters_.queue_visits;
   AfwQueue& queue = queues_[qi];
-  if (queue.jobs.empty()) {
-    queue.planned_length = AfwQueue::kNoPlan;
-    return;
-  }
+  check(!queue.jobs.empty(), "process_queue: the scan visited an empty queue");
 
   // Re-plan when the queue has changed or the cached plan has aged out;
   // otherwise reuse the cached candidates — the recheck-list retry against
@@ -692,6 +759,7 @@ void Controller::dispatch(AfwQueue& queue, const profile::Config& config,
   for (std::uint16_t i = 0; i < config.batch; ++i) {
     task.jobs.push_back(queue.pop_front_job());
   }
+  mark_if_drained(queue);
   if (fq_ != nullptr) fq_->on_dequeue(queue.tenant, task.jobs.size());
 
   const auto& table = profiles_.table(task.function);
@@ -1040,6 +1108,7 @@ void Controller::requeue_job(const Job& job) {
   // Front of the queue: the retried job is the oldest work this stage has.
   queue.push_front_job(job);
   queue.planned_length = AfwQueue::kNoPlan;
+  mark_nonempty(queue);
   ensure_scan_scheduled();
 }
 
@@ -1055,6 +1124,7 @@ void Controller::abort_request(RequestId request, workload::NodeIndex stage,
     const std::size_t removed = queue.erase_request_jobs(request);
     if (removed > 0) {
       queue.planned_length = AfwQueue::kNoPlan;
+      mark_if_drained(queue);
       if (fq_ != nullptr) fq_->on_dequeue(queue.tenant, removed);
     }
   }

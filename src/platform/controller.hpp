@@ -144,12 +144,18 @@ class Controller {
   /// subsystem's issue/skip tallies folded in.
   [[nodiscard]] perf::Counters perf_counters() const;
 
+  /// Cross-validates the scan's bitmap against the queues: a queue's bit is
+  /// set exactly when the queue holds jobs, and an empty queue holds no plan. Throws via check() on violation (test
+  /// hook, run between events).
+  void check_queue_invariants() const;
+
  private:
   struct AfwQueue {
     AppId app;
     workload::NodeIndex stage = 0;
     FunctionId function;
     std::uint32_t tenant = 0;  ///< owning flow (always 0 without fair queueing)
+    std::size_t slot = 0;      ///< position in tenant_queues_[tenant]
     std::deque<Job> jobs;
     int placement_failures = 0;  ///< consecutive recheck rounds
 
@@ -219,9 +225,17 @@ class Controller {
   std::unordered_map<std::uint64_t, std::size_t> queue_index_;  // (tenant,app,stage)
   std::size_t rr_cursor_ = 0;
   bool scan_scheduled_ = false;
-  /// Queue indices per tenant, in creation order (fair-queue runs only;
-  /// tenant 0 holds the base queues built at construction).
+  /// Queue indices per tenant, in creation order. Tenant 0 holds the base
+  /// queues built at construction, which are all the queues of a run
+  /// without fair queueing.
   std::vector<std::vector<std::size_t>> tenant_queues_;
+  /// One bit per queue of each tenant, bit i standing for
+  /// tenant_queues_[t][i], set while that queue holds jobs. The scan visits
+  /// only set bits (DESIGN.md §15).
+  std::vector<std::vector<std::uint64_t>> nonempty_;
+  /// Per-invoker vote tally of majority_input_location, all zero between
+  /// calls.
+  std::vector<std::uint32_t> votes_;
 
   std::unordered_map<RequestId, RequestState> requests_;
   std::uint32_t next_request_ = 0;
@@ -268,8 +282,16 @@ class Controller {
 
   void ensure_scan_scheduled();
   void scan();
-  /// Attempts to plan + dispatch one task from queue `qi`.
+  /// Visits tenant `t`'s queues that hold jobs, round-robin from rr_cursor_.
+  void scan_tenant(std::uint32_t t);
+  /// Attempts to plan + dispatch one task from queue `qi`, which holds jobs.
   void process_queue(std::size_t qi);
+  /// Appends queue `qi` to its tenant's scan order, with a clear bit.
+  void add_to_scan(std::size_t qi);
+  /// Sets the queue's bit; called after every push.
+  void mark_nonempty(const AfwQueue& queue);
+  /// Clears the queue's bit if it has no jobs left; called after every pop.
+  void mark_if_drained(const AfwQueue& queue);
   void dispatch(AfwQueue& queue, const profile::Config& config,
                 InvokerId invoker, TimeMs overhead_ms);
   void complete_task(const Task& task);
@@ -314,14 +336,17 @@ class Controller {
 
   [[nodiscard]] QueueView make_view(const AfwQueue& queue) const;
   [[nodiscard]] profile::Config clamp_for_ablation(profile::Config c) const;
+  /// The invoker holding the most inputs of the first `batch` jobs, the
+  /// lowest id on a tie; invalid when none has a location.
   [[nodiscard]] InvokerId majority_input_location(const AfwQueue& queue,
-                                                  std::uint16_t batch) const;
+                                                  std::uint16_t batch);
   [[nodiscard]] std::uint64_t queue_key(AppId app, workload::NodeIndex stage,
                                         std::uint32_t tenant) const;
   /// Index of the (tenant, app, stage) queue, creating the per-tenant queue
   /// on first use (tenant>0 queues exist only once their tenant sends work).
   [[nodiscard]] std::size_t queue_of(AppId app, workload::NodeIndex stage,
                                      std::uint32_t tenant);
+  /// True while any queue's bit is set: the scan re-arms.
   [[nodiscard]] bool any_queue_nonempty() const;
 };
 
