@@ -87,7 +87,7 @@ std::vector<GridResult> run_grid(std::span<const exp::Scenario> grid) {
 
 void write_meta_json(std::FILE* out) {
   // Single source of truth for the provenance block: the same object backs
-  // esg_sim --build-info, the esg.perf.v1 "meta" field, and every BENCH_*.json.
+  // esg_sim --build-info, the esg.perf.v2 "meta" field, and every BENCH_*.json.
   std::fprintf(out, "  \"meta\": %s,\n", common::meta_json_object().c_str());
 }
 

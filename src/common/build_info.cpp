@@ -62,9 +62,6 @@ BuildInfo build_info() {
 #ifdef ESG_SANITIZE_BUILD
   info.sanitize = true;
 #endif
-#ifdef ESG_PROFILE_BUILD
-  info.profile = true;
-#endif
 #ifdef __unix__
   utsname uts{};
   if (::uname(&uts) == 0) {
@@ -83,7 +80,6 @@ std::string version_line(const std::string& tool) {
   std::string line = tool + " (esg) commit " + info.commit + " · " +
                      info.compiler + " · " + info.build_type;
   if (info.sanitize) line += " · sanitize";
-  if (info.profile) line += " · profile";
   return line;
 }
 
@@ -94,7 +90,6 @@ void write_build_info(std::FILE* out, const std::string& tool) {
   std::fprintf(out, "compiler: %s\n", info.compiler.c_str());
   std::fprintf(out, "build_type: %s\n", info.build_type.c_str());
   std::fprintf(out, "sanitize: %s\n", info.sanitize ? "on" : "off");
-  std::fprintf(out, "profile: %s\n", info.profile ? "on" : "off");
   std::fprintf(out, "host: %s\n", info.host.c_str());
   std::fprintf(out, "kernel: %s\n", info.kernel.c_str());
   std::fprintf(out, "cpus: %u\n", info.cpus);

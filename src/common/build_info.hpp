@@ -12,7 +12,6 @@ struct BuildInfo {
   std::string compiler;    ///< e.g. "g++ 12.2.0"
   std::string build_type;  ///< CMAKE_BUILD_TYPE at configure time
   bool sanitize = false;   ///< built with ESG_SANITIZE=ON
-  bool profile = false;    ///< built with ESG_PROFILE=ON (ESG_PROF_SCOPE live)
   std::string host;        ///< uname nodename, "unknown" off-unix
   std::string kernel;      ///< uname "sysname release"
   unsigned cpus = 0;       ///< std::thread::hardware_concurrency()
@@ -25,7 +24,7 @@ struct BuildInfo {
 [[nodiscard]] BuildInfo build_info();
 
 /// One-line --version output: "<tool> (esg) commit <c> · <compiler> ·
-/// <build_type>[ · sanitize][ · profile]".
+/// <build_type>[ · sanitize]".
 [[nodiscard]] std::string version_line(const std::string& tool);
 
 /// Multi-line --build-info output (key: value per line).

@@ -206,14 +206,16 @@ usage: esg_sim [flags]
                          latency decomposition + per-app miss causes) as JSON;
                          esg_report produces the same file from a saved trace
   --perf-out   <path>    write the simulator self-profiling report
-                         (esg.perf.v1 JSON: hot-path counters, throughput,
-                         and — in ESG_PROFILE=ON builds — the scoped timer
-                         tree); with --seeds n>1 each seed gets a _seed<N>
-                         suffix. Also adds perf/* counter tracks to
+                         (esg.perf.v2 JSON: hot-path counters, throughput,
+                         and the run's self time per layer: setup, engine,
+                         scan, plan, place, dispatch, prewarm, sinks,
+                         attribution); with --seeds n>1 each seed gets a
+                         _seed<N> suffix. Also adds perf/* counter tracks to
                          --stats-out / --trace-out when those are active
   --perf-summary         print the per-seed self-profiling summary (counter
-                         table + scope tree) after the run; seeds run
-                         sequentially like the traced path
+                         table + layer table) after the run; seeds run
+                         sequentially like the traced path. Timing the
+                         layers costs a clocked run some throughput
   --fault-spec <spec>    deterministic fault injection; `@file` reads the
                          spec from a file. Clauses are `;`-separated:
                            crash:invoker=3,at=2000,down=1500
@@ -423,8 +425,9 @@ CliOptions parse_cli(std::span<const char* const> args) {
     }
     if (opts.perf_summary) {
       throw std::invalid_argument(
-          "--perf-summary is not supported with --sweep (the profiler scope "
-          "tree is per-process, not per-cell)");
+          "--perf-summary is not supported with --sweep (cells run "
+          "concurrently); run one scheduler without --sweep for the per-seed "
+          "summary");
     }
   }
 

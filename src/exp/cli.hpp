@@ -28,7 +28,7 @@ struct CliOptions {
   /// --sweep; front() always mirrors scenario.scheduler.
   std::vector<SchedulerKind> schedulers{SchedulerKind::kEsg};
   bool help = false;
-  /// Print the per-seed self-profiling summary (counters + scope tree) after
+  /// Print the per-seed self-profiling summary (counters + layer table) after
   /// each run. Forces sequential seed execution like the traced path.
   bool perf_summary = false;
   /// --version / --build-info: print provenance and exit 0.

@@ -6,6 +6,7 @@
 #include <exception>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -14,7 +15,7 @@
 #include "obs/analysis/dataset.hpp"
 #include "obs/sampler.hpp"
 #include "obs/sinks.hpp"
-#include "perf/profiler.hpp"
+#include "perf/layer_clock.hpp"
 #include "perf/report.hpp"
 #include "sim/simulator.hpp"
 #include "sweep/thread_pool.hpp"
@@ -133,69 +134,113 @@ std::unique_ptr<workload::ArrivalSource> make_arrival_source(
   throw std::invalid_argument("make_arrival_source: bad ArrivalMode");
 }
 
-RunOutput run_scenario(const Scenario& scenario) {
-  if (!scenario.trace.enabled()) return run_scenario(scenario, nullptr);
+namespace {
 
-  // Each perf report covers exactly one run: clear this thread's scope tree
-  // (a no-op in ESG_PROFILE=OFF builds, where it is always empty).
-  if (!scenario.trace.perf_path.empty()) perf::Profiler::instance().reset();
+/// Opens one of the run's output files, throwing when it cannot.
+std::unique_ptr<std::ofstream> open_output(const std::string& what,
+                                           const std::string& path) {
+  auto file = std::make_unique<std::ofstream>(path);
+  if (!*file) {
+    throw std::runtime_error("run_scenario: cannot open " + what + " file '" +
+                             path + "'");
+  }
+  return file;
+}
 
+/// Flushes `file` and throws when any write to it failed (a full disk).
+void check_written(std::ostream& file, const std::string& what,
+                   const std::string& path) {
+  if (!file.flush()) {
+    throw std::runtime_error("run_scenario: cannot write " + what + " file '" +
+                             path + "'");
+  }
+}
+
+/// The recorded run: sinks for the trace, stats and report paths, the run
+/// itself, then the online attribution report.
+RunOutput run_recorded(const Scenario& scenario) {
+  // Declared first so the sinks' teardown counts as theirs.
+  perf::LayerScope layer(perf::Layer::kSetup);
   obs::TraceRecorder recorder;
-  if (!scenario.trace.trace_path.empty()) {
-    auto file = std::make_unique<std::ofstream>(scenario.trace.trace_path);
-    if (!*file) {
-      throw std::runtime_error("run_scenario: cannot open trace file '" +
-                               scenario.trace.trace_path + "'");
-    }
+  const TraceConfig& paths = scenario.trace;
+  std::ofstream* trace_file = nullptr;
+  if (!paths.trace_path.empty()) {
+    auto file = open_output("trace", paths.trace_path);
+    trace_file = file.get();
     recorder.add_sink(std::make_unique<obs::ChromeTraceSink>(std::move(file)));
   }
-  if (!scenario.trace.stats_path.empty()) {
-    auto file = std::make_unique<std::ofstream>(scenario.trace.stats_path);
-    if (!*file) {
-      throw std::runtime_error("run_scenario: cannot open stats file '" +
-                               scenario.trace.stats_path + "'");
-    }
+  std::ofstream* stats_file = nullptr;
+  if (!paths.stats_path.empty()) {
+    auto file = open_output("stats", paths.stats_path);
+    stats_file = file.get();
     recorder.add_sink(std::make_unique<obs::JsonlStatsSink>(std::move(file)));
   }
   obs::analysis::AnalysisSink* analysis = nullptr;
-  if (!scenario.trace.report_path.empty()) {
+  if (!paths.report_path.empty()) {
     auto sink = std::make_unique<obs::analysis::AnalysisSink>();
     analysis = sink.get();
     recorder.add_sink(std::move(sink));
   }
   RunOutput out = run_scenario(scenario, &recorder);
-  if (!scenario.trace.perf_path.empty()) {
-    std::FILE* file = std::fopen(scenario.trace.perf_path.c_str(), "w");
-    if (file == nullptr) {
-      throw std::runtime_error("run_scenario: cannot open perf file '" +
-                               scenario.trace.perf_path + "'");
-    }
-    perf::RunInfo info;
-    info.scheduler = to_string(scenario.scheduler);
-    info.seed = scenario.seed;
-    info.simulated_ms = out.simulated_end_ms;
-    info.wall_seconds = out.wall_seconds;
-    info.invocations = out.metrics.requests();
-    perf::write_perf_json(file, info, out.counters,
-                          perf::Profiler::instance().snapshot());
-    std::fclose(file);
-  }
+  layer.switch_to(perf::Layer::kSinks);
+  if (trace_file != nullptr) check_written(*trace_file, "trace", paths.trace_path);
+  if (stats_file != nullptr) check_written(*stats_file, "stats", paths.stats_path);
   if (analysis != nullptr) {
-    std::ofstream file(scenario.trace.report_path);
-    if (!file) {
-      throw std::runtime_error("run_scenario: cannot open report file '" +
-                               scenario.trace.report_path + "'");
-    }
-    const obs::analysis::AttributionReport report =
-        obs::analysis::build_report(analysis->dataset());
-    obs::analysis::write_report_json(report, file);
+    const perf::LayerScope report_layer(perf::Layer::kAttribution);
+    const std::unique_ptr<std::ofstream> file =
+        open_output("report", paths.report_path);
+    obs::analysis::write_report_json(
+        obs::analysis::build_report(analysis->dataset()), *file);
+    check_written(*file, "report", paths.report_path);
   }
+  return out;
+}
+
+/// Writes the run's esg.perf.v2 document to scenario.trace.perf_path.
+void write_perf_file(const Scenario& scenario, const RunOutput& out) {
+  const std::string& path = scenario.trace.perf_path;
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  if (file == nullptr) {
+    throw std::runtime_error("run_scenario: cannot open perf file '" + path +
+                             "'");
+  }
+  perf::RunInfo info;
+  info.scheduler = to_string(scenario.scheduler);
+  info.seed = scenario.seed;
+  info.simulated_ms = out.simulated_end_ms;
+  info.wall_seconds = out.wall_seconds;
+  info.invocations = out.metrics.requests();
+  perf::write_perf_json(file, info, out.counters, out.layers);
+  const bool failed = std::ferror(file) != 0;
+  if (std::fclose(file) != 0 || failed) {
+    throw std::runtime_error("run_scenario: cannot write perf file '" + path +
+                             "'");
+  }
+}
+
+}  // namespace
+
+RunOutput run_scenario(const Scenario& scenario) {
+  // A perf report times the run's layers; a clock the caller already runs
+  // on this thread (esg_sim --perf-summary) serves as well.
+  const bool perf_report = !scenario.trace.perf_path.empty();
+  std::optional<perf::LayerClock> clock;
+  if (perf_report && perf::LayerClock::running() == nullptr) clock.emplace();
+  RunOutput out = scenario.trace.enabled() ? run_recorded(scenario)
+                                           : run_scenario(scenario, nullptr);
+  if (perf::LayerClock* running = perf::LayerClock::running()) {
+    out.layers = running->read();
+  }
+  if (perf_report) write_perf_file(scenario, out);
   return out;
 }
 
 RunOutput run_scenario(const Scenario& scenario_in,
                        obs::TraceRecorder* recorder) {
   const auto wall_start = std::chrono::steady_clock::now();
+  // Set-up runs until the first event. The loop, the epilogue and the
+  // teardown of everything declared below belong to the engine.
+  perf::LayerScope layer(perf::Layer::kSetup);
 
   // Local copy so the trace can be loaded eagerly: the tenant resolution
   // below needs the trace's tenant count before the arrival source exists.
@@ -349,6 +394,16 @@ RunOutput run_scenario(const Scenario& scenario_in,
   controller_options.fair_queue = fair_queue.get();
   platform::Controller controller(sim, cluster, profiles, apps, scenario.slo,
                                   *scheduler, rng, controller_options);
+  // The run's counters: the event loop's, the controller's (prewarm
+  // included), the fair queue's and the forecaster's.
+  const auto merged_counters = [&sim, &controller, fq = fair_queue.get(),
+                                fc = forecast_service.get()] {
+    perf::Counters merged = sim.counters();
+    merged.merge(controller.perf_counters());
+    if (fq != nullptr) merged.merge(fq->counters());
+    if (fc != nullptr) merged.merge(fc->counters());
+    return merged;
+  };
 
   obs::TraceRecorder disabled_recorder;  // sampler needs a reference
   obs::StatsSampler sampler(sim, cluster,
@@ -389,24 +444,13 @@ RunOutput run_scenario(const Scenario& scenario_in,
       }
     }
     // Self-profiling counter tracks, only on perf-enabled runs so existing
-    // stats/trace artefacts stay byte-identical (DESIGN.md §13). Each gauge
-    // samples the merged view across the event loop, controller (incl.
-    // prewarm), fair queue, and forecaster.
+    // stats/trace artefacts stay byte-identical (DESIGN.md §13).
     if (!scenario.trace.perf_path.empty()) {
-      const sim::Simulator* sim_ptr = &sim;
-      const platform::Controller* ctl = &controller;
-      const tenant::FairQueue* fq = fair_queue.get();
-      const forecast::ForecastService* fc = forecast_service.get();
       for (const perf::CounterField& field : perf::kCounterFields) {
-        sampler.add_gauge(
-            std::string(perf::kGaugePrefix) + field.name,
-            [sim_ptr, ctl, fq, fc, member = field.member] {
-              perf::Counters merged = sim_ptr->counters();
-              merged.merge(ctl->perf_counters());
-              if (fq != nullptr) merged.merge(fq->counters());
-              if (fc != nullptr) merged.merge(fc->counters());
-              return static_cast<double>(merged.*member);
-            });
+        sampler.add_gauge(std::string(perf::kGaugePrefix) + field.name,
+                          [merged_counters, member = field.member] {
+                            return static_cast<double>(merged_counters().*member);
+                          });
       }
     }
     sampler.start();
@@ -417,6 +461,7 @@ RunOutput run_scenario(const Scenario& scenario_in,
   for (const auto& app : apps) app_ids.push_back(app.id());
   const auto source = make_arrival_source(scenario, std::move(app_ids), rng);
   controller.inject(source->generate_until(scenario.horizon_ms));
+  layer.switch_to(perf::Layer::kEngine);
   bool truncated = false;
   if (scenario.wall_budget_ms <= 0.0) {
     controller.run_to_completion();
@@ -448,11 +493,8 @@ RunOutput run_scenario(const Scenario& scenario_in,
   out.wall_seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - wall_start)
                          .count();
-  out.counters = sim.counters();
-  out.counters.merge(controller.perf_counters());
-  if (fair_queue != nullptr) out.counters.merge(fair_queue->counters());
+  out.counters = merged_counters();
   if (forecast_service != nullptr) {
-    out.counters.merge(forecast_service->counters());
     out.forecast_accuracy.reserve(apps.size());
     for (std::uint32_t a = 0; a < apps.size(); ++a) {
       out.forecast_accuracy.push_back(forecast_service->accuracy(a));

@@ -20,6 +20,7 @@
 #include "forecast/forecaster.hpp"
 #include "metrics/run_metrics.hpp"
 #include "perf/counters.hpp"
+#include "perf/layer_clock.hpp"
 #include "platform/controller.hpp"
 #include "profile/profile_table.hpp"
 #include "sim/simulator.hpp"
@@ -76,7 +77,7 @@ struct TraceConfig {
   std::string trace_path;   ///< Chrome-trace-event JSON (Perfetto-loadable)
   std::string stats_path;   ///< counter time series as JSON Lines
   std::string report_path;  ///< SLO-attribution report JSON (--report-out)
-  std::string perf_path;    ///< esg.perf.v1 self-profiling JSON (--perf-out)
+  std::string perf_path;    ///< esg.perf.v2 self-profiling JSON (--perf-out)
   TimeMs stats_interval_ms = 100.0;
 
   [[nodiscard]] bool enabled() const {
@@ -168,6 +169,9 @@ struct RunOutput {
   /// queue + forecaster). Deterministic per seed; always populated
   /// (DESIGN.md §13).
   perf::Counters counters;
+  /// Self time per layer, read from the layer clock running on the calling
+  /// thread when the run ended; all zero when none ran (DESIGN.md §13).
+  perf::LayerTimes layers;
   /// Per-app forecast accuracy over the run's closed bins; empty unless the
   /// scenario ran with a forecaster.
   std::vector<forecast::AppAccuracy> forecast_accuracy;
@@ -188,7 +192,9 @@ struct RunOutput {
 
 /// Builds the platform, injects the generated arrivals, runs to completion.
 /// When scenario.trace names output files, a recorder with the matching
-/// sinks (plus the periodic stats sampler) is wired up for the run.
+/// sinks (plus the periodic stats sampler) is wired up for the run, and a
+/// perf path also starts a layer clock unless the caller runs one. Throws
+/// std::runtime_error naming the file when an output cannot be written.
 [[nodiscard]] RunOutput run_scenario(const Scenario& scenario);
 
 /// Same, but records into the caller's recorder (nullptr = tracing off);

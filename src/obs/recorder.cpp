@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "perf/layer_clock.hpp"
+
 namespace esg::obs {
 
 std::string_view to_string(SpanKind kind) {
@@ -123,6 +125,7 @@ void TraceRecorder::add_sink(std::unique_ptr<TraceSink> sink) {
 void TraceRecorder::span(SpanKind kind, std::string name, Track track,
                          TimeMs start_ms, TimeMs end_ms, ArgList args) {
   if (!enabled_) return;
+  const perf::LayerScope layer(perf::Layer::kSinks);
   const Span event{kind, std::move(name), track, start_ms, end_ms,
                    std::move(args)};
   for (auto& sink : sinks_) sink->on_span(event);
@@ -132,6 +135,7 @@ void TraceRecorder::span(SpanKind kind, std::string name, Track track,
 void TraceRecorder::instant(InstantKind kind, std::string name, Track track,
                             TimeMs at_ms, ArgList args) {
   if (!enabled_) return;
+  const perf::LayerScope layer(perf::Layer::kSinks);
   const Instant event{kind, std::move(name), track, at_ms, std::move(args)};
   for (auto& sink : sinks_) sink->on_instant(event);
   ++instants_;
@@ -140,6 +144,7 @@ void TraceRecorder::instant(InstantKind kind, std::string name, Track track,
 void TraceRecorder::counter(std::string name, Track track, TimeMs at_ms,
                             double value) {
   if (!enabled_) return;
+  const perf::LayerScope layer(perf::Layer::kSinks);
   const CounterSample sample{std::move(name), track, at_ms, value};
   for (auto& sink : sinks_) sink->on_counter(sample);
   ++counters_;
@@ -147,15 +152,18 @@ void TraceRecorder::counter(std::string name, Track track, TimeMs at_ms,
 
 void TraceRecorder::name_process(std::uint32_t pid, std::string name) {
   if (!enabled_) return;
+  const perf::LayerScope layer(perf::Layer::kSinks);
   for (auto& sink : sinks_) sink->on_process_name(pid, name);
 }
 
 void TraceRecorder::name_thread(Track track, std::string name) {
   if (!enabled_) return;
+  const perf::LayerScope layer(perf::Layer::kSinks);
   for (auto& sink : sinks_) sink->on_thread_name(track, name);
 }
 
 void TraceRecorder::flush() {
+  const perf::LayerScope layer(perf::Layer::kSinks);
   for (auto& sink : sinks_) sink->flush();
 }
 

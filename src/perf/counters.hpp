@@ -1,10 +1,10 @@
 // Always-on hot-path counters for the simulator itself (DESIGN.md §13).
 //
-// Unlike the compile-out ESG_PROF_SCOPE timers, these are plain uint64
-// increments embedded in the components they describe (Simulator, Controller,
-// PrewarmManager, FairQueue) — branch-free, allocation-free, and fully
-// deterministic: two runs with the same seed produce identical values, which
-// the test suite asserts. Each component owns a Counters instance; the run
+// Unlike the layer clock's wall-clock times (perf/layer_clock.hpp), these
+// are plain uint64 increments embedded in the components they describe
+// (Simulator, Controller, PrewarmManager, FairQueue) — branch-free,
+// allocation-free, and fully deterministic: two runs with the same seed
+// produce identical values, which the test suite asserts. Each component owns a Counters instance; the run
 // harness merges them into one RunOutput-level view at the end of the run.
 #pragma once
 

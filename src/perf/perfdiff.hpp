@@ -1,5 +1,5 @@
 // Comparison engine behind tools/esg_perfdiff: diff two perf/BENCH JSON
-// artefacts (esg.perf.v1 documents or BENCH_*.json baselines) and flag
+// artefacts (esg.perf.v2 documents or BENCH_*.json baselines) and flag
 // throughput regressions past a threshold.
 //
 // Semantics: both documents are flattened to numeric leaves keyed by a

@@ -37,9 +37,9 @@ std::string ns_human(double ns) {
 }  // namespace
 
 void write_perf_json(std::FILE* out, const RunInfo& run, const Counters& counters,
-                     const std::vector<Profiler::ScopeStats>& profile) {
+                     const LayerTimes& layers) {
   std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"schema\": \"esg.perf.v1\",\n");
+  std::fprintf(out, "  \"schema\": \"esg.perf.v2\",\n");
   std::fprintf(out, "  \"meta\": %s,\n", common::meta_json_object().c_str());
   std::fprintf(out,
                "  \"run\": {\"scheduler\": \"%s\", \"seed\": %llu, "
@@ -59,27 +59,17 @@ void write_perf_json(std::FILE* out, const RunInfo& run, const Counters& counter
     first = false;
   }
   std::fprintf(out, "},\n");
-  std::fprintf(out, "  \"profile\": [");
-  for (std::size_t i = 0; i < profile.size(); ++i) {
-    const Profiler::ScopeStats& s = profile[i];
-    std::fprintf(out,
-                 "%s\n    {\"path\": \"%s\", \"depth\": %d, \"calls\": %llu, "
-                 "\"total_ns\": %llu, \"self_ns\": %llu, \"min_ns\": %llu, "
-                 "\"max_ns\": %llu, \"mean_ns\": %.1f, \"p99_ns\": %.1f}",
-                 i == 0 ? "" : ",", json::escape(s.path).c_str(), s.depth,
-                 static_cast<unsigned long long>(s.calls),
-                 static_cast<unsigned long long>(s.total_ns),
-                 static_cast<unsigned long long>(s.self_ns),
-                 static_cast<unsigned long long>(s.min_ns),
-                 static_cast<unsigned long long>(s.max_ns), s.mean_ns, s.p99_ns);
+  std::fprintf(out, "  \"layers\": {\"window_ns\": %llu, \"self_ns\": {",
+               static_cast<unsigned long long>(layers.window_ns));
+  for (std::size_t i = 0; i < kLayerCount; ++i) {
+    std::fprintf(out, "%s\"%s\": %llu", i == 0 ? "" : ", ", kLayerNames[i],
+                 static_cast<unsigned long long>(layers.self_ns[i]));
   }
-  std::fprintf(out, "%s]\n", profile.empty() ? "" : "\n  ");
-  std::fprintf(out, "}\n");
+  std::fprintf(out, "}}\n}\n");
 }
 
 void write_perf_summary(std::FILE* out, const RunInfo& run,
-                        const Counters& counters,
-                        const std::vector<Profiler::ScopeStats>& profile) {
+                        const Counters& counters, const LayerTimes& layers) {
   std::fprintf(out, "perf: scheduler=%s seed=%llu simulated=%.0fms wall=%.3fs\n",
                run.scheduler.c_str(), static_cast<unsigned long long>(run.seed),
                run.simulated_ms, run.wall_seconds);
@@ -93,24 +83,15 @@ void write_perf_summary(std::FILE* out, const RunInfo& run,
   }
   std::fprintf(out, "%s", counter_table.render().c_str());
 
-  if (profile.empty()) {
-    std::fprintf(out,
-                 "perf: no scoped timings (build with -DESG_PROFILE=ON to "
-                 "enable ESG_PROF_SCOPE)\n");
-    return;
+  const double window = static_cast<double>(layers.window_ns);
+  AsciiTable layer_table({"layer", "self", "share"});
+  for (std::size_t i = 0; i < kLayerCount; ++i) {
+    const double self = static_cast<double>(layers.self_ns[i]);
+    layer_table.add_row({kLayerNames[i], ns_human(self),
+                         AsciiTable::pct(window > 0.0 ? self / window : 0.0)});
   }
-  AsciiTable scope_table(
-      {"scope", "calls", "total", "self", "mean", "p99"});
-  for (const Profiler::ScopeStats& s : profile) {
-    std::string label(static_cast<std::size_t>(s.depth) * 2, ' ');
-    const auto slash = s.path.rfind('/');
-    label += slash == std::string::npos ? s.path : s.path.substr(slash + 1);
-    scope_table.add_row({label, std::to_string(s.calls),
-                         ns_human(static_cast<double>(s.total_ns)),
-                         ns_human(static_cast<double>(s.self_ns)),
-                         ns_human(s.mean_ns), ns_human(s.p99_ns)});
-  }
-  std::fprintf(out, "%s", scope_table.render().c_str());
+  layer_table.add_row({"window", ns_human(window), AsciiTable::pct(1.0)});
+  std::fprintf(out, "%s", layer_table.render().c_str());
 }
 
 }  // namespace esg::perf

@@ -1,4 +1,4 @@
-// Reporting surfaces for the self-profiling layer: the esg.perf.v1 JSON
+// Reporting surfaces for the self-profiling layer: the esg.perf.v2 JSON
 // artefact (--perf-out), and the human-readable --perf-summary table.
 // Counter gauges for the stats JSONL / Perfetto tracks are registered in
 // exp/scenario.cpp via obs::StatsSampler; this header only fixes their
@@ -7,10 +7,9 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "perf/counters.hpp"
-#include "perf/profiler.hpp"
+#include "perf/layer_clock.hpp"
 
 namespace esg::perf {
 
@@ -27,17 +26,16 @@ struct RunInfo {
 /// Chrome-trace counter tracks ("perf/events_fired", ...).
 inline constexpr const char* kGaugePrefix = "perf/";
 
-/// Writes the esg.perf.v1 JSON document. Schema (key order, field set) is
+/// Writes the esg.perf.v2 JSON document. Schema (key order, field set) is
 /// deterministic; counter *values* are deterministic per seed, while
-/// wall-clock and profile timings naturally vary run to run. The profile
-/// array is empty in ESG_PROFILE=OFF builds (no scopes recorded).
+/// wall-clock and layer timings naturally vary run to run. The "layers"
+/// object holds the window and each slot's self time in nanoseconds.
 void write_perf_json(std::FILE* out, const RunInfo& run, const Counters& counters,
-                     const std::vector<Profiler::ScopeStats>& profile);
+                     const LayerTimes& layers);
 
-/// Human table: throughput line, counter table, and (when non-empty) the
-/// indented scope tree with calls / total / self / mean / p99 per scope.
+/// Human table: throughput line, counter table, and the layer table with
+/// each slot's self time and share of the window.
 void write_perf_summary(std::FILE* out, const RunInfo& run,
-                        const Counters& counters,
-                        const std::vector<Profiler::ScopeStats>& profile);
+                        const Counters& counters, const LayerTimes& layers);
 
 }  // namespace esg::perf

@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "perf/profiler.hpp"
+#include "perf/layer_clock.hpp"
 #include "profile/perf_model.hpp"
 
 namespace esg::platform {
@@ -407,7 +407,7 @@ perf::Counters Controller::perf_counters() const {
 }
 
 void Controller::scan() {
-  ESG_PROF_SCOPE("controller/scan");
+  const perf::LayerScope layer(perf::Layer::kScan);
   scan_scheduled_ = false;
   ++counters_.scan_rounds;
   if (fq_ == nullptr) {
@@ -526,7 +526,6 @@ InvokerId Controller::majority_input_location(const AfwQueue& queue,
 }
 
 void Controller::process_queue(std::size_t qi) {
-  ESG_PROF_SCOPE("controller/process_queue");
   ++counters_.queue_visits;
   AfwQueue& queue = queues_[qi];
   check(!queue.jobs.empty(), "process_queue: the scan visited an empty queue");
@@ -542,7 +541,7 @@ void Controller::process_queue(std::size_t qi) {
     const QueueView view = make_view(queue);
     const auto wall_start = std::chrono::steady_clock::now();
     PlanResult plan = [&] {
-      ESG_PROF_SCOPE("controller/plan");
+      const perf::LayerScope layer(perf::Layer::kPlan);
       return scheduler_.plan(view);
     }();
     const auto wall_end = std::chrono::steady_clock::now();
@@ -707,9 +706,11 @@ void Controller::process_queue(std::size_t qi) {
     // target follows the strategy's instance-placement policy (locality for
     // ESG/Orion/Aquatope, packing for INFless and FaST-GShare). Either way
     // the cold start surfaces as queueing delay.
-    const std::optional<InvokerId> target =
-        forced ? locality_first_place(ctx, cluster_)
-               : scheduler_.place(ctx, cluster_);
+    const std::optional<InvokerId> target = [&] {
+      const perf::LayerScope layer(perf::Layer::kPlace);
+      return forced ? locality_first_place(ctx, cluster_)
+                    : scheduler_.place(ctx, cluster_);
+    }();
     if (target.has_value()) {
       provision_container(*target, queue.function);
       queue.placement_failures = 0;
@@ -737,7 +738,7 @@ void Controller::process_queue(std::size_t qi) {
 
 void Controller::dispatch(AfwQueue& queue, const profile::Config& config,
                           InvokerId invoker_id, TimeMs overhead_ms) {
-  ESG_PROF_SCOPE("controller/dispatch");
+  const perf::LayerScope layer(perf::Layer::kDispatch);
   ++counters_.dispatches;
   check(config.batch > 0 && config.batch <= queue.jobs.size(),
         "dispatch: batch exceeds queue length");
@@ -827,15 +828,7 @@ void Controller::dispatch(AfwQueue& queue, const profile::Config& config,
   // Fault runs account the task when its outcome is known: a completed task
   // books here retroactively from finish_inflight(); a failed one bills only
   // the occupancy it actually held, in fail_inflight().
-  if (measured && fault_ == nullptr) {
-    metrics_.total_cost += task.cost;
-    metrics_.cost_by_app[task.app] += task.cost;
-    ++metrics_.tasks;
-    metrics_.task_trace.push_back(metrics::TaskRecord{
-        task.id, task.app, task.stage, task.function, task.invoker,
-        task.config.batch, task.config.vcpus, task.config.vgpus,
-        task.dispatch_ms, task.transfer_ms, task.exec_ms, task.cost});
-  }
+  if (fault_ == nullptr) book_task(task);
 
   const TimeMs start = sim_.now() + overhead_ms;  // work begins post-overhead
   const TimeMs done = start + task.occupancy_ms();
@@ -977,18 +970,20 @@ void Controller::finish_inflight(std::uint32_t task_id) {
   inflight_.erase(it);
   sim_.cancel(entry.timeout);
   const Task& task = entry.task;
-
-  if (task.dispatch_ms >= options_.metrics_warmup_ms) {
-    metrics_.total_cost += task.cost;
-    metrics_.cost_by_app[task.app] += task.cost;
-    ++metrics_.tasks;
-    metrics_.task_trace.push_back(metrics::TaskRecord{
-        task.id, task.app, task.stage, task.function, task.invoker,
-        task.config.batch, task.config.vcpus, task.config.vgpus,
-        task.dispatch_ms, task.transfer_ms, task.exec_ms, task.cost});
-  }
+  book_task(task);
   emit_task_spans(task, entry.overhead_ms, sim_.now(), false, {});
   complete_task(task);
+}
+
+void Controller::book_task(const Task& task) {
+  if (task.dispatch_ms < options_.metrics_warmup_ms) return;
+  metrics_.total_cost += task.cost;
+  metrics_.cost_by_app[task.app] += task.cost;
+  ++metrics_.tasks;
+  metrics_.task_trace.push_back(metrics::TaskRecord{
+      task.id, task.app, task.stage, task.function, task.invoker,
+      task.config.batch, task.config.vcpus, task.config.vgpus,
+      task.dispatch_ms, task.transfer_ms, task.exec_ms, task.cost});
 }
 
 void Controller::fail_inflight(std::uint32_t task_id, FailureCause cause) {
@@ -1002,15 +997,7 @@ void Controller::fail_inflight(std::uint32_t task_id, FailureCause cause) {
 
   // Release everything the task held. The container itself is lost — no
   // warm entry returns to the pool, unlike a completion.
-  auto& invoker = cluster_.invoker(task.invoker);
-  invoker.release(task.config.vcpus, task.config.vgpus);
-  if (!task.trace_lanes.empty()) {
-    trace_gpu_lanes_.release(task.invoker.get(), task.trace_lanes);
-  }
-  auto active = active_by_function_.find(task.function);
-  check(active != active_by_function_.end() && active->second > 0,
-        "fail_inflight: active-task accounting underflow");
-  --active->second;
+  release_task(task);
 
   // Bill the occupancy actually held (post-overhead up to the failure).
   const TimeMs start = task.dispatch_ms + entry.overhead_ms;
@@ -1026,6 +1013,17 @@ void Controller::fail_inflight(std::uint32_t task_id, FailureCause cause) {
   emit_task_spans(task, entry.overhead_ms, sim_.now(), true, cause_name(cause));
   retry_or_abort(task, cause);
   ensure_scan_scheduled();
+}
+
+void Controller::fail_tasks_on(InvokerId invoker, FailureCause cause) {
+  // Sorted ids: inflight_ is an unordered_map and the failure path feeds
+  // the trace, which must stay byte-reproducible.
+  std::vector<std::uint32_t> victims;
+  for (const auto& [tid, entry] : inflight_) {
+    if (entry.task.invoker == invoker) victims.push_back(tid);
+  }
+  std::sort(victims.begin(), victims.end());
+  for (const std::uint32_t tid : victims) fail_inflight(tid, cause);
 }
 
 void Controller::retry_or_abort(const Task& task, FailureCause cause) {
@@ -1179,16 +1177,7 @@ void Controller::on_invoker_crash(InvokerId invoker, TimeMs rejoin_at_ms) {
                rejoin_at_ms, {{"invoker", std::to_string(invoker.get())}});
   }
 
-  // Fail every task running here. Sorted ids: inflight_ is an unordered_map
-  // and the failure path feeds the trace, which must stay byte-reproducible.
-  std::vector<std::uint32_t> victims;
-  for (const auto& [tid, entry] : inflight_) {
-    if (entry.task.invoker == invoker) victims.push_back(tid);
-  }
-  std::sort(victims.begin(), victims.end());
-  for (const std::uint32_t tid : victims) {
-    fail_inflight(tid, FailureCause::kCrash);
-  }
+  fail_tasks_on(invoker, FailureCause::kCrash);
 
   // Cancel in-flight container provisioning targeting the dead node.
   cancel_provisioning_on(invoker);
@@ -1251,15 +1240,8 @@ void Controller::reclaim_invoker(InvokerId invoker) {
                   {{"invoker", std::to_string(invoker.get())}});
   }
   // Kill what is still running here; the jobs retry on surviving nodes with
-  // this invoker excluded. Sorted ids for byte-reproducible traces.
-  std::vector<std::uint32_t> victims;
-  for (const auto& [tid, entry] : inflight_) {
-    if (entry.task.invoker == invoker) victims.push_back(tid);
-  }
-  std::sort(victims.begin(), victims.end());
-  for (const std::uint32_t tid : victims) {
-    fail_inflight(tid, FailureCause::kReclaimed);
-  }
+  // this invoker excluded.
+  fail_tasks_on(invoker, FailureCause::kReclaimed);
   cancel_provisioning_on(invoker);
   // retire() drops the warm pool (WarmEnd::kDrained) and asserts no
   // vCPU/vGPU is still held — the no-leak invariant of every reclaim.
@@ -1411,21 +1393,24 @@ bool Controller::function_active_anywhere(FunctionId function) const {
 }
 
 void Controller::complete_task(const Task& task) {
-  auto& invoker = cluster_.invoker(task.invoker);
-  invoker.release(task.config.vcpus, task.config.vgpus);
-  if (!task.trace_lanes.empty()) {
-    trace_gpu_lanes_.release(task.invoker.get(), task.trace_lanes);
-  }
-  invoker.add_warm(task.function, sim_.now(), options_.keep_alive_ms);
-  auto it = active_by_function_.find(task.function);
-  check(it != active_by_function_.end() && it->second > 0,
-        "complete_task: active-task accounting underflow");
-  --it->second;
-
+  release_task(task);
+  cluster_.invoker(task.invoker)
+      .add_warm(task.function, sim_.now(), options_.keep_alive_ms);
   for (const Job& job : task.jobs) {
     advance_job(job, task.invoker, sim_.now());
   }
   ensure_scan_scheduled();
+}
+
+void Controller::release_task(const Task& task) {
+  cluster_.invoker(task.invoker).release(task.config.vcpus, task.config.vgpus);
+  if (!task.trace_lanes.empty()) {
+    trace_gpu_lanes_.release(task.invoker.get(), task.trace_lanes);
+  }
+  auto active = active_by_function_.find(task.function);
+  check(active != active_by_function_.end() && active->second > 0,
+        "release_task: active-task accounting underflow");
+  --active->second;
 }
 
 void Controller::advance_job(const Job& job, InvokerId ran_on,

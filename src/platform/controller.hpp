@@ -294,7 +294,14 @@ class Controller {
   void mark_if_drained(const AfwQueue& queue);
   void dispatch(AfwQueue& queue, const profile::Config& config,
                 InvokerId invoker, TimeMs overhead_ms);
+  /// A finished task: frees what it held and returns its warm container.
   void complete_task(const Task& task);
+  /// Frees a task's vCPU/vGPU and trace lanes and drops it from the active
+  /// count (both outcomes).
+  void release_task(const Task& task);
+  /// Books a task's cost and TaskRecord when it was dispatched in the
+  /// measured window.
+  void book_task(const Task& task);
   void advance_job(const Job& job, InvokerId ran_on, TimeMs completion_ms);
   void enqueue_job(RequestId request, AppId app, workload::NodeIndex stage,
                    InvokerId input_location, TimeMs now);
@@ -310,6 +317,8 @@ class Controller {
   /// and retry or abort each job).
   void finish_inflight(std::uint32_t task_id);
   void fail_inflight(std::uint32_t task_id, FailureCause cause);
+  /// Fails every task in flight on `invoker`, in task-id order.
+  void fail_tasks_on(InvokerId invoker, FailureCause cause);
   void retry_or_abort(const Task& task, FailureCause cause);
   void requeue_job(const Job& job);
   void abort_request(RequestId request, workload::NodeIndex stage, TimeMs now);

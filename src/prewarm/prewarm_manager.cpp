@@ -4,7 +4,7 @@
 #include <cmath>
 #include <vector>
 
-#include "perf/profiler.hpp"
+#include "perf/layer_clock.hpp"
 
 namespace esg::prewarm {
 
@@ -42,7 +42,7 @@ std::size_t PrewarmManager::warm_count(FunctionId function,
 void PrewarmManager::on_invocation(AppId app, FunctionId function,
                                    InvokerId invoker, TimeMs now_ms,
                                    TimeMs duration_ms) {
-  ESG_PROF_SCOPE("prewarm/on_invocation");
+  const perf::LayerScope layer(perf::Layer::kPrewarm);
   auto [it, inserted] = streams_.try_emplace(key(app, function), alpha_);
   Stream& stream = it->second;
 
@@ -69,7 +69,7 @@ void PrewarmManager::on_invocation(AppId app, FunctionId function,
 
 void PrewarmManager::on_forecast_bin(TimeMs now_ms) {
   if (forecast_ == nullptr) return;
-  ESG_PROF_SCOPE("prewarm/on_forecast_bin");
+  const perf::LayerScope layer(perf::Layer::kPrewarm);
   const TimeMs lead = forecast_->spec().lead_ms;
   // Sorted keys: unordered_map iteration order must not leak into the event
   // schedule (the determinism contract).
@@ -137,6 +137,7 @@ void PrewarmManager::schedule_warms(std::uint64_t k, FunctionId function,
     auto stream_it = streams_.find(k);
     if (stream_it != streams_.end()) ++stream_it->second.outstanding;
     sim_.schedule_at(fire_at, [this, k, function, invoker = target] {
+      const perf::LayerScope layer(perf::Layer::kPrewarm);
       auto inner_it = streams_.find(k);
       const std::size_t target_now = inner_it != streams_.end()
                                          ? target_pool(inner_it->second)

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "perf/profiler.hpp"
+#include "perf/layer_clock.hpp"
 
 namespace esg::sim {
 
@@ -98,7 +98,6 @@ bool Simulator::consume_cancelled(std::uint64_t seq) {
 }
 
 bool Simulator::step() {
-  ESG_PROF_SCOPE("sim/step");
   TimeMs when = 0.0;
   std::uint64_t seq = 0;
   Action action;
@@ -114,14 +113,14 @@ bool Simulator::step() {
 }
 
 std::size_t Simulator::run() {
-  ESG_PROF_SCOPE("sim/run");
+  const perf::LayerScope layer(perf::Layer::kEngine);
   std::size_t fired = 0;
   while (step()) ++fired;
   return fired;
 }
 
 std::size_t Simulator::run_until(TimeMs deadline) {
-  ESG_PROF_SCOPE("sim/run_until");
+  const perf::LayerScope layer(perf::Layer::kEngine);
   std::size_t fired = 0;
   TimeMs when = 0.0;
   std::uint64_t seq = 0;

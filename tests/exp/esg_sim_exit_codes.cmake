@@ -3,7 +3,8 @@
 # failure) and not 134 (an exception escaping a worker thread). Some rows
 # fail while the flags are parsed, others only once run_scenario checks the
 # scenario, with one seed or with several seeds running on the replica pool.
-# Run as
+# The last rows are runtime failures: an output esg_sim cannot write exits 1
+# with a message naming the file, rather than 0 with the data lost. Run as
 #
 #   cmake -DESG_SIM=<path to esg_sim> -DESG_TRACEGEN=<path to esg_tracegen>
 #         -P esg_sim_exit_codes.cmake
@@ -18,12 +19,12 @@ if(NOT ESG_SIM OR NOT ESG_TRACEGEN)
 endif()
 
 set(rows 0)
-# Reports a row that did not exit 2 with a "<name>: " message containing
-# `text`.
-function(check_row rc err name text shown)
+# Reports a row that did not exit `code` with a "<name>: " message
+# containing `text`.
+function(check_row code rc err name text shown)
   string(FIND "${err}" "${text}" at)
-  if(NOT rc STREQUAL "2" OR NOT err MATCHES "^${name}: " OR at EQUAL -1)
-    set(want "2 and a ${name}: message")
+  if(NOT rc STREQUAL "${code}" OR NOT err MATCHES "^${name}: " OR at EQUAL -1)
+    set(want "${code} and a ${name}: message")
     if(text)
       string(APPEND want " saying '${text}'")
     endif()
@@ -41,7 +42,7 @@ function(expect_config_error)
   execute_process(COMMAND "${ESG_SIM}" ${args}
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
   list(JOIN args " " shown)
-  check_row("${rc}" "${err}" esg_sim "${text}" "esg_sim ${shown}")
+  check_row(2 "${rc}" "${err}" esg_sim "${text}" "esg_sim ${shown}")
   math(EXPR count "${rows} + 1")
   set(rows ${count} PARENT_SCOPE)
 endfunction()
@@ -50,7 +51,7 @@ function(expect_tracegen_error)
   execute_process(COMMAND "${ESG_TRACEGEN}" ${ARGN}
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
   list(JOIN ARGN " " shown)
-  check_row("${rc}" "${err}" esg_tracegen "" "esg_tracegen ${shown}")
+  check_row(2 "${rc}" "${err}" esg_tracegen "" "esg_tracegen ${shown}")
   math(EXPR count "${rows} + 1")
   set(rows ${count} PARENT_SCOPE)
 endfunction()
@@ -103,4 +104,26 @@ expect_config_error(SAYS "workload-trace line 2" --arrivals "trace:@${bad_trace}
 expect_config_error(--arrivals trace:@/no/such/file.csv)
 expect_tracegen_error(--bins 0)
 
-message(STATUS "${rows} configuration-error rows checked")
+# Outputs that cannot be written (/dev/full takes no bytes, and no
+# directory can be made under it).
+function(expect_io_error)
+  execute_process(COMMAND "${ESG_SIM}" ${ARGN}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  list(JOIN ARGN " " shown)
+  check_row(1 "${rc}" "${err}" esg_sim /dev/full "esg_sim ${shown}")
+  math(EXPR count "${rows} + 1")
+  set(rows ${count} PARENT_SCOPE)
+endfunction()
+
+if(EXISTS /dev/full)
+  foreach(flag --perf-out --trace-out --stats-out --report-out)
+    expect_io_error(--horizon-ms 500 ${flag} /dev/full)
+  endforeach()
+  expect_io_error(--horizon-ms 500 --sweep --scheduler esg,infless
+                  --sweep-out /dev/full)
+  expect_io_error(--horizon-ms 500 --csv-dir /dev/full/x)
+else()
+  message(STATUS "no /dev/full: the I/O-error rows are skipped")
+endif()
+
+message(STATUS "${rows} exit-code rows checked")

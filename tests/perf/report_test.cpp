@@ -1,25 +1,23 @@
-// The esg.perf.v1 writer escapes what it embeds: a scheduler name or scope
-// path holding '"', '\' or a control byte still yields a document that
-// parses back to the same strings.
+// The esg.perf.v2 writer escapes what it embeds: a scheduler name holding
+// '"', '\' or a control byte still yields a document that parses back to
+// the same string.
 #include "perf/report.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "common/json.hpp"
 
 namespace esg::perf {
 namespace {
 
-std::string perf_json(const RunInfo& run,
-                      const std::vector<Profiler::ScopeStats>& profile) {
+std::string perf_json(const RunInfo& run) {
   std::FILE* file = std::tmpfile();
   EXPECT_NE(file, nullptr);
   if (file == nullptr) return {};
-  write_perf_json(file, run, Counters{}, profile);
+  write_perf_json(file, run, Counters{}, LayerTimes{});
   std::rewind(file);
   std::string text;
   char buf[4096];
@@ -33,22 +31,13 @@ std::string perf_json(const RunInfo& run,
 TEST(PerfJson, EscapedNamesRoundTrip) {
   RunInfo run;
   run.scheduler = "esg \"quoted\" \\ back\tslash";
-  Profiler::ScopeStats scope;
-  scope.path = "sim.run/\"a\\b\"\n";
-  const json::Value doc = json::parse(perf_json(run, {scope}), "perf json");
+  const json::Value doc = json::parse(perf_json(run), "perf json");
 
   const json::Value* run_obj = doc.find("run");
   ASSERT_NE(run_obj, nullptr);
   const json::Value* scheduler = run_obj->find("scheduler");
   ASSERT_NE(scheduler, nullptr);
   EXPECT_EQ(scheduler->text, run.scheduler);
-
-  const json::Value* profile = doc.find("profile");
-  ASSERT_NE(profile, nullptr);
-  ASSERT_EQ(profile->items.size(), 1u);
-  const json::Value* path = profile->items[0].find("path");
-  ASSERT_NE(path, nullptr);
-  EXPECT_EQ(path->text, scope.path);
 
   const json::Value* meta = doc.find("meta");
   ASSERT_NE(meta, nullptr);

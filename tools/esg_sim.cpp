@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 
 #include "common/build_info.hpp"
@@ -11,7 +12,7 @@
 #include "common/table.hpp"
 #include "exp/cli.hpp"
 #include "metrics/export.hpp"
-#include "perf/profiler.hpp"
+#include "perf/layer_clock.hpp"
 #include "perf/report.hpp"
 #include "sweep/sweep.hpp"
 #include "tenant/tenant_spec.hpp"
@@ -70,9 +71,8 @@ int run_sweep_cli(const esg::exp::CliOptions& opts) {
   if (!opts.sweep_out.empty()) {
     std::FILE* file = std::fopen(opts.sweep_out.c_str(), "w");
     if (file == nullptr) {
-      std::fprintf(stderr, "esg_sim: cannot open sweep-out file '%s'\n",
-                   opts.sweep_out.c_str());
-      return 1;
+      throw std::runtime_error("cannot open sweep-out file '" +
+                               opts.sweep_out + "'");
     }
     std::fprintf(file, "{\n  \"schema\": \"esg.sweep.v1\",\n  \"cells\": [");
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -114,10 +114,68 @@ int run_sweep_cli(const esg::exp::CliOptions& opts) {
                    agg.total_cost, agg.mean_job_wait_ms);
     }
     std::fprintf(file, "\n  ]\n}\n");
-    std::fclose(file);
+    const bool failed = std::ferror(file) != 0;
+    if (std::fclose(file) != 0 || failed) {
+      throw std::runtime_error("cannot write sweep-out file '" +
+                               opts.sweep_out + "'");
+    }
     std::printf("sweep results written to %s\n", opts.sweep_out.c_str());
   }
   return any_failed ? 1 : 0;
+}
+
+/// --csv-dir: per-seed completions and tasks, plus the summary, per-app and
+/// (multi-tenant runs only) per-tenant tables. Throws on any I/O failure.
+void write_csvs(const esg::exp::CliOptions& opts,
+                const std::vector<esg::exp::RunOutput>& outputs,
+                const esg::tenant::TenantSpec& tenants) {
+  using namespace esg;
+  std::filesystem::create_directories(opts.csv_dir);
+  const auto write_csv = [](const std::string& path, const auto& write) {
+    std::ofstream file(path);
+    write(file);
+    if (!file.flush()) {
+      throw std::runtime_error("cannot write CSV file '" + path + "'");
+    }
+  };
+  const auto label = [&opts](std::size_t i) {
+    return "seed" + std::to_string(opts.seeds[i]);
+  };
+  for (std::size_t i = 0; i < outputs.size(); ++i) {
+    const std::string stem = opts.csv_dir + "/" + label(i);
+    write_csv(stem + "_completions.csv", [&](std::ostream& out) {
+      metrics::write_completions_csv(outputs[i].metrics, out);
+    });
+    write_csv(stem + "_tasks.csv", [&](std::ostream& out) {
+      metrics::write_task_trace_csv(outputs[i].metrics, out);
+    });
+  }
+  write_csv(opts.csv_dir + "/summary.csv", [&](std::ostream& out) {
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+      metrics::write_summary_csv(outputs[i].metrics, label(i), out, i == 0);
+    }
+  });
+  write_csv(opts.csv_dir + "/per_app.csv", [&](std::ostream& out) {
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+      metrics::write_per_app_summary_csv(outputs[i].metrics, label(i), out,
+                                         i == 0);
+    }
+  });
+  // per_tenant.csv exists only on multi-tenant runs, so single-tenant
+  // --csv-dir output keeps the exact legacy file set.
+  if (!tenants.inert()) {
+    std::vector<std::string> names;
+    for (std::uint32_t t = 0;
+         t < static_cast<std::uint32_t>(tenants.tenants.size()); ++t) {
+      names.push_back(tenants.tenant_name(t));
+    }
+    write_csv(opts.csv_dir + "/per_tenant.csv", [&](std::ostream& out) {
+      for (std::size_t i = 0; i < outputs.size(); ++i) {
+        metrics::write_per_tenant_summary_csv(outputs[i].metrics, names,
+                                              label(i), out, i == 0);
+      }
+    });
+  }
 }
 
 }  // namespace
@@ -231,9 +289,10 @@ int main(int argc, char** argv) {
       scenario.trace.stats_path = per_seed(scenario.trace.stats_path, seed);
       scenario.trace.report_path = per_seed(scenario.trace.report_path, seed);
       scenario.trace.perf_path = per_seed(scenario.trace.perf_path, seed);
-      // Per-seed scope trees: run_scenario resets when --perf-out is set,
-      // but a summary-only run must clear the previous seed's tree itself.
-      if (opts.perf_summary) perf::Profiler::instance().reset();
+      // One layer clock per seed for the summary; run_scenario reads it
+      // into the seed's RunOutput (and its --perf-out report).
+      std::optional<perf::LayerClock> clock;
+      if (opts.perf_summary) clock.emplace();
       outputs.push_back(exp::run_scenario(scenario));
       if (!scenario.trace.trace_path.empty()) {
         std::printf("trace written to %s (open in ui.perfetto.dev)\n",
@@ -258,8 +317,7 @@ int main(int argc, char** argv) {
         info.simulated_ms = out.simulated_end_ms;
         info.wall_seconds = out.wall_seconds;
         info.invocations = out.metrics.requests();
-        perf::write_perf_summary(stdout, info, out.counters,
-                                 perf::Profiler::instance().snapshot());
+        perf::write_perf_summary(stdout, info, out.counters, out.layers);
       }
     }
     std::printf("\n");
@@ -380,40 +438,11 @@ int main(int argc, char** argv) {
   }
 
   if (!opts.csv_dir.empty()) {
-    namespace fs = std::filesystem;
-    fs::create_directories(opts.csv_dir);
-    for (std::size_t i = 0; i < outputs.size(); ++i) {
-      const std::string stem =
-          opts.csv_dir + "/seed" + std::to_string(opts.seeds[i]);
-      std::ofstream completions(stem + "_completions.csv");
-      metrics::write_completions_csv(outputs[i].metrics, completions);
-      std::ofstream tasks(stem + "_tasks.csv");
-      metrics::write_task_trace_csv(outputs[i].metrics, tasks);
-    }
-    std::ofstream summary(opts.csv_dir + "/summary.csv");
-    std::ofstream per_app(opts.csv_dir + "/per_app.csv");
-    for (std::size_t i = 0; i < outputs.size(); ++i) {
-      metrics::write_summary_csv(outputs[i].metrics,
-                                 "seed" + std::to_string(opts.seeds[i]), summary,
-                                 i == 0);
-      metrics::write_per_app_summary_csv(
-          outputs[i].metrics, "seed" + std::to_string(opts.seeds[i]), per_app,
-          i == 0);
-    }
-    // per_tenant.csv exists only on multi-tenant runs, so single-tenant
-    // --csv-dir output keeps the exact legacy file set.
-    if (!tenants.inert()) {
-      std::vector<std::string> names;
-      for (std::uint32_t t = 0;
-           t < static_cast<std::uint32_t>(tenants.tenants.size()); ++t) {
-        names.push_back(tenants.tenant_name(t));
-      }
-      std::ofstream per_tenant(opts.csv_dir + "/per_tenant.csv");
-      for (std::size_t i = 0; i < outputs.size(); ++i) {
-        metrics::write_per_tenant_summary_csv(
-            outputs[i].metrics, names,
-            "seed" + std::to_string(opts.seeds[i]), per_tenant, i == 0);
-      }
+    try {
+      write_csvs(opts, outputs, tenants);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "esg_sim: %s\n", e.what());
+      return 1;
     }
     std::printf("CSVs written to %s/\n", opts.csv_dir.c_str());
   }
