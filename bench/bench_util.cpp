@@ -1,11 +1,11 @@
 #include "bench_util.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
+#include <utility>
 
 #include "common/build_info.hpp"
+#include "exp/run_all.hpp"
 
 namespace esg::bench {
 
@@ -44,45 +44,38 @@ exp::Scenario make_scenario(exp::SchedulerKind kind,
 
 std::vector<GridResult> run_grid(std::span<const exp::Scenario> grid) {
   const auto seed_list = seeds();
-
-  // Expand to (scenario, seed) work items so the pool stays busy.
-  struct Item {
-    std::size_t scenario;
-    std::uint64_t seed;
-  };
-  std::vector<Item> items;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    for (const std::uint64_t seed : seed_list) items.push_back({i, seed});
+  std::vector<exp::Scenario> runs;
+  runs.reserve(grid.size() * seed_list.size());
+  for (const exp::Scenario& scenario : grid) {
+    for (const std::uint64_t seed : seed_list) {
+      runs.push_back(scenario);
+      runs.back().seed = seed;
+    }
   }
+  std::vector<exp::RunResult> ran = exp::run_all(runs);
 
   std::vector<GridResult> results(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    results[i].replicas.resize(seed_list.size());
-  }
-
-  std::atomic<std::size_t> next{0};
-  const unsigned workers = std::min<unsigned>(
-      std::max(1u, std::thread::hardware_concurrency()),
-      static_cast<unsigned>(items.size()));
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1);
-          if (i >= items.size()) return;
-          exp::Scenario scenario = grid[items[i].scenario];
-          scenario.seed = items[i].seed;
-          const std::size_t replica = i % seed_list.size();
-          results[items[i].scenario].replicas[replica] =
-              exp::run_scenario(scenario);
-        }
-      });
+  for (std::size_t i = 0; i < ran.size(); ++i) {
+    if (ran[i].error) {
+      std::fprintf(stderr, "run %s/seed%llu failed: %s\n",
+                   std::string(exp::to_string(runs[i].scheduler)).c_str(),
+                   static_cast<unsigned long long>(runs[i].seed),
+                   exp::error_message(ran[i].error).c_str());
+      std::exit(1);
     }
+    results[i / seed_list.size()].replicas.push_back(std::move(ran[i].output));
   }
   for (auto& r : results) r.aggregate = exp::aggregate(r.replicas);
   return results;
+}
+
+bool close_json(std::FILE* out, const std::string& path) {
+  const bool failed = std::ferror(out) != 0;
+  if (std::fclose(out) != 0 || failed) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
 }
 
 void write_meta_json(std::FILE* out) {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -25,8 +24,9 @@ namespace esg::bench {
 [[nodiscard]] exp::Scenario make_scenario(exp::SchedulerKind kind,
                                           const exp::SettingCombo& combo);
 
-/// Runs every scenario (each over all seeds) using a thread pool; outputs
-/// are ordered like the inputs and each entry aggregates its seeds.
+/// Runs every scenario over all seeds through exp::run_all; outputs are
+/// ordered like the inputs and each entry aggregates its seeds. Once every
+/// run has finished, the first failed run is reported and the bench exits 1.
 struct GridResult {
   exp::Aggregate aggregate;
   std::vector<exp::RunOutput> replicas;
@@ -43,5 +43,9 @@ void print_banner(const std::string& id, const std::string& paper_claim);
 /// at run time ("unknown" outside a checkout), so a regenerated baseline
 /// records which revision and machine produced its numbers.
 void write_meta_json(std::FILE* out);
+
+/// Closes a BENCH_*.json file. Returns false, after printing "cannot write
+/// <path>" to stderr, when a write or the close failed.
+[[nodiscard]] bool close_json(std::FILE* out, const std::string& path);
 
 }  // namespace esg::bench

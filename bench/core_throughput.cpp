@@ -5,10 +5,9 @@
 // checked-in BENCH_core.json gives esg_perfdiff a baseline so later PRs can
 // see when they slow the hot path down (CI gates on events_per_sec).
 //
-// The cells run as sweep tasks on the work-stealing pool (DESIGN.md §15) —
-// the same runner behind `esg_sim --sweep` — so the bench exercises the
-// production replica path instead of a bespoke loop. argv[1] (when not a
-// flag) overrides the output path, default BENCH_core.json.
+// The cells run through exp::run_all (DESIGN.md §15), the runner behind
+// `esg_sim --sweep`. argv[1] (when not a flag) overrides the output path,
+// default BENCH_core.json.
 //
 // Environment knobs:
 //   ESG_BENCH_CORE_HORIZON_MS — arrival-window length per run (default
@@ -20,7 +19,7 @@
 //     "truncated": its throughput covers only the fired prefix, and
 //     esg_perfdiff comparisons against an untruncated baseline are
 //     meaningless. CI sets a generous budget purely as a hang backstop.
-//   ESG_BENCH_CORE_JOBS — pool worker threads (default 1: concurrent rows
+//   ESG_BENCH_CORE_JOBS — threads running rows (default 1: concurrent rows
 //     steal each other's wall clock, so parallelism is for smoke runs, not
 //     for numbers worth checking in).
 //   ESG_BENCH_CORE_ENGINE — heap|calendar event-queue engine (default
@@ -33,7 +32,7 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "sweep/sweep.hpp"
+#include "exp/run_all.hpp"
 #include "trace/azure_shape.hpp"
 #include "workload/applications.hpp"
 
@@ -124,11 +123,10 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   const exp::SettingCombo combo = exp::paper_combos()[1];  // moderate-normal
-  std::vector<sweep::SweepTask> tasks;
+  std::vector<exp::Scenario> cells;
   for (const exp::SchedulerKind kind : kinds) {
     for (const double scale : kRateScales) {
-      sweep::SweepTask task;
-      exp::Scenario& s = task.scenario;
+      exp::Scenario& s = cells.emplace_back();
       s.scheduler = kind;
       s.slo = combo.slo;
       s.load = combo.load;
@@ -140,19 +138,16 @@ int main(int argc, char** argv) {
       s.arrivals.mode = exp::ArrivalMode::kTrace;
       s.arrivals.trace = workload_trace;
       s.arrivals.replay.rate_scale = scale;
-      task.label = "core/" + std::string(exp::to_string(kind)) + "/x" +
-                   std::to_string(static_cast<int>(scale));
-      tasks.push_back(std::move(task));
     }
   }
 
-  sweep::SweepOptions sweep_opts;
-  sweep_opts.jobs = core_jobs();
-  const auto results = sweep::run_sweep(std::move(tasks), sweep_opts);
-  for (const auto& cell : results) {
-    if (cell.failed) {
-      std::fprintf(stderr, "cell %s failed: %s\n", cell.label.c_str(),
-                   cell.error.c_str());
+  const std::vector<exp::RunResult> results = exp::run_all(cells, core_jobs());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (results[i].error) {
+      std::fprintf(stderr, "cell core/%s/x%d failed: %s\n",
+                   std::string(exp::to_string(kinds[i / 3])).c_str(),
+                   static_cast<int>(kRateScales[i % 3]),
+                   exp::error_message(results[i].error).c_str());
       return 1;
     }
   }
@@ -210,7 +205,7 @@ int main(int argc, char** argv) {
         i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  if (!bench::close_json(out, out_path)) return 1;
   std::printf("wrote %s (%zu rows)\n", out_path.c_str(), results.size());
   return 0;
 }

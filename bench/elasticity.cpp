@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
         i + 1 < grid.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  if (!bench::close_json(out, out_path)) return 1;
   std::printf("wrote %s (%zu rows)\n", out_path, grid.size());
   return 0;
 }

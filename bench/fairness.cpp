@@ -228,7 +228,7 @@ int main(int argc, char** argv) {
         bursty_rows[i].p99_ms, i + 1 < std::size(variants) ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  if (!bench::close_json(out, out_path)) return 1;
   std::printf("wrote %s (%zu rows)\n", out_path, std::size(variants));
   return 0;
 }

@@ -256,7 +256,7 @@ int main(int argc, char** argv) {
     std::fprintf(out, "}%s\n", i + 1 < reporter.rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  if (!esg::bench::close_json(out, out_path)) return 1;
   std::printf("wrote %s (%zu rows)\n", out_path.c_str(), reporter.rows.size());
   return 0;
 }

@@ -5,6 +5,7 @@
 // deterministic overhead model's estimate alongside.
 #include <chrono>
 #include <cstdio>
+#include <functional>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"

@@ -166,12 +166,12 @@ usage: esg_sim [flags]
                          stays selectable for cross-checking (CI cmp-asserts
                          the calendar queue against it)
   --sweep                run the (scheduler x seed) cross product in
-                         parallel on the work-stealing pool and print a
-                         per-cell table plus per-scheduler aggregates.
+                         parallel and print a per-cell table plus
+                         per-scheduler aggregates.
                          File-producing flags (--csv-dir, --trace-out, ...)
                          are rejected: cells would race on the files
-  --jobs       <n>       worker threads for --sweep and multi-seed replica
-                         runs (default 0 = hardware concurrency); results
+  --jobs       <n>       threads for --sweep and multi-seed runs
+                         (default 0 = hardware concurrency); results
                          are byte-identical for any value
   --sweep-out  <path>    write the sweep result table as deterministic JSON
                          (esg.sweep.v1; wall-clock fields excluded so the

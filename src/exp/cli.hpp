@@ -16,11 +16,11 @@ struct CliOptions {
   std::vector<std::uint64_t> seeds{42};
   /// Directory to write completions/tasks/summary CSVs into (empty = none).
   std::string csv_dir;
-  /// --sweep: run the (scheduler × seed) cross product on the work-stealing
-  /// pool instead of the single-scheduler replica path.
+  /// --sweep: run the (scheduler × seed) cross product instead of one
+  /// scheduler over the seeds.
   bool sweep = false;
-  /// --jobs: worker threads for --sweep and the multi-seed replica runner
-  /// (0 = hardware concurrency). Results are byte-identical for any value.
+  /// --jobs: threads for --sweep and multi-seed runs (0 = hardware
+  /// concurrency). Results are byte-identical for any value.
   unsigned jobs = 0;
   /// --sweep-out: deterministic sweep-result JSON path (empty = none).
   std::string sweep_out;

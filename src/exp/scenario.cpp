@@ -3,12 +3,10 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <exception>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "fault/fault_engine.hpp"
 #include "obs/analysis/attribution.hpp"
@@ -18,7 +16,6 @@
 #include "perf/layer_clock.hpp"
 #include "perf/report.hpp"
 #include "sim/simulator.hpp"
-#include "sweep/thread_pool.hpp"
 #include "tenant/fair_queue.hpp"
 #include "tenant/mqfq_scheduler.hpp"
 
@@ -502,39 +499,6 @@ RunOutput run_scenario(const Scenario& scenario_in,
   }
   out.truncated = truncated;
   return out;
-}
-
-std::vector<RunOutput> run_replicas(const Scenario& base,
-                                    std::span<const std::uint64_t> seeds,
-                                    unsigned max_threads) {
-  std::vector<RunOutput> outputs(seeds.size());
-  if (seeds.empty()) return outputs;
-  if (max_threads == 0) {
-    max_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  // Each replica writes only its own slot, so the merged outputs are ordered
-  // like `seeds` (and byte-identical) for any worker count. Pool tasks must
-  // not throw: a replica's failure is kept in its slot and rethrown here.
-  std::vector<std::exception_ptr> errors(seeds.size());
-  sweep::ThreadPool pool(
-      static_cast<unsigned>(std::min<std::size_t>(max_threads, seeds.size())));
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    pool.submit([&base, &seeds, &outputs, &errors, i] {
-      Scenario scenario = base;
-      scenario.seed = seeds[i];
-      scenario.trace = TraceConfig{};  // replicas would race on the files
-      try {
-        outputs[i] = run_scenario(scenario);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  pool.wait_idle();
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-  return outputs;
 }
 
 Aggregate aggregate(std::span<const RunOutput> outputs) {

@@ -202,18 +202,6 @@ struct RunOutput {
 [[nodiscard]] RunOutput run_scenario(const Scenario& scenario,
                                      obs::TraceRecorder* recorder);
 
-/// Runs one scenario per seed on the work-stealing pool (src/sweep; up to
-/// `max_threads` workers, 0 = hardware concurrency). Outputs are ordered
-/// like `seeds` regardless of execution interleaving, so results are
-/// byte-identical for any thread count. scenario.trace is ignored here —
-/// replicas would race on the output files; run traced seeds sequentially
-/// through run_scenario instead. If replicas throw, every replica still
-/// finishes, then the exception of the first failing seed in `seeds` order
-/// is rethrown on the calling thread.
-[[nodiscard]] std::vector<RunOutput> run_replicas(const Scenario& base,
-                                                  std::span<const std::uint64_t> seeds,
-                                                  unsigned max_threads = 0);
-
 /// Mean SLO hit rate and total cost across replica outputs.
 struct Aggregate {
   double slo_hit_rate = 0.0;

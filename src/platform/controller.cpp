@@ -19,6 +19,29 @@ namespace {
 /// Gaussian draw can never produce a non-positive latency.
 constexpr double kNoiseFloor = 0.3;
 
+/// Queue-scan cadence.
+constexpr TimeMs kScanIntervalMs = 1.0;
+/// Rounds a queue may fail placement before the forced minimum-config
+/// dispatch (Section 3.1: "if a queue stays in the recheck list too long
+/// (e.g., 3 rounds), it will be dispatched with the minimum configuration").
+constexpr int kRecheckRoundsBeforeMin = 3;
+/// Re-plan a queue whose length has not changed at most this often; in
+/// between, cached candidates are retried against the (changed) worker
+/// states, which is exactly the recheck-list behaviour of Section 3.1.
+constexpr TimeMs kReplanIntervalMs = 5.0;
+/// Safety valve: a queue deferring longer than this is dispatched anyway.
+constexpr TimeMs kDeferCapMs = 30'000.0;
+/// Fault recovery: a failed task's jobs wait base x 2^(attempt-1), capped,
+/// before they are re-enqueued.
+constexpr TimeMs kRetryBackoffBaseMs = 8.0;
+constexpr TimeMs kRetryBackoffCapMs = 512.0;
+/// Watchdog: a dispatched task that has not completed within
+/// kTaskTimeoutFactor x its noise-free expected latency (with a floor for
+/// very short stages) is declared failed — how the controller detects
+/// crashes and fault-injected stragglers without an oracle.
+constexpr double kTaskTimeoutFactor = 4.0;
+constexpr TimeMs kTaskTimeoutFloorMs = 50.0;
+
 }  // namespace
 
 Controller::Controller(sim::Simulator& sim, cluster::Cluster& cluster,
@@ -103,7 +126,7 @@ Controller::Controller(sim::Simulator& sim, cluster::Cluster& cluster,
         }
       }
       cluster_.invoker(home).add_warm(queue.function, 0.0,
-                                      options_.keep_alive_ms);
+                                      cluster::kKeepAliveMs);
     }
   }
 
@@ -430,7 +453,7 @@ void Controller::scan() {
 
   if (any_queue_nonempty()) {
     scan_scheduled_ = true;
-    sim_.schedule_in(options_.scan_interval_ms, [this] { scan(); });
+    sim_.schedule_in(kScanIntervalMs, [this] { scan(); });
   }
 }
 
@@ -559,7 +582,7 @@ void Controller::process_queue(std::size_t qi) {
     queue.pending_overhead_ms = plan.overhead_ms;
     queue.pending_defer = plan.defer;
     queue.planned_length = queue.jobs.size();
-    queue.replan_at_ms = sim_.now() + options_.replan_interval_ms;
+    queue.replan_at_ms = sim_.now() + kReplanIntervalMs;
 
     if (queue.pending_defer && traced_now()) {
       rec_->instant(obs::InstantKind::kDefer, "defer", obs::controller_track(),
@@ -580,8 +603,8 @@ void Controller::process_queue(std::size_t qi) {
 
   const TimeMs head_wait = sim_.now() - queue.jobs.front().enqueue_ms;
   const bool forced =
-      queue.placement_failures >= options_.recheck_rounds_before_min ||
-      head_wait > options_.defer_cap_ms;
+      queue.placement_failures >= kRecheckRoundsBeforeMin ||
+      head_wait > kDeferCapMs;
   if (queue.pending_defer && !forced) return;
 
   std::vector<profile::Config> candidates;
@@ -891,8 +914,8 @@ void Controller::dispatch(AfwQueue& queue, const profile::Config& config,
   // past `factor` x nominal is killed and retried even though it would have
   // finished eventually.
   const TimeMs watchdog_ms =
-      std::max(options_.task_timeout_floor_ms,
-               options_.task_timeout_factor * (task.transfer_ms + nominal_ms));
+      std::max(kTaskTimeoutFloorMs,
+               kTaskTimeoutFactor * (task.transfer_ms + nominal_ms));
   entry.timeout = sim_.schedule_at(start + watchdog_ms, [this, tid] {
     fail_inflight(tid, FailureCause::kTimeout);
   });
@@ -1068,8 +1091,8 @@ void Controller::retry_or_abort(const Task& task, FailureCause cause) {
 
     if (now >= options_.metrics_warmup_ms) ++metrics_.retries;
     const TimeMs backoff_ms =
-        std::min(options_.retry_backoff_cap_ms,
-                 options_.retry_backoff_base_ms *
+        std::min(kRetryBackoffCapMs,
+                 kRetryBackoffBaseMs *
                      std::exp2(static_cast<double>(retry.attempts - 1)));
     if (traced_now()) {
       rec_->instant(obs::InstantKind::kRetry, "retry",
@@ -1371,7 +1394,7 @@ void Controller::provision_container(InvokerId invoker, FunctionId function) {
       }
     } else {
       cluster_.invoker(invoker).add_warm(function, sim_.now(),
-                                         options_.keep_alive_ms);
+                                         cluster::kKeepAliveMs);
     }
     ensure_scan_scheduled();
   });
@@ -1395,7 +1418,7 @@ bool Controller::function_active_anywhere(FunctionId function) const {
 void Controller::complete_task(const Task& task) {
   release_task(task);
   cluster_.invoker(task.invoker)
-      .add_warm(task.function, sim_.now(), options_.keep_alive_ms);
+      .add_warm(task.function, sim_.now(), cluster::kKeepAliveMs);
   for (const Job& job : task.jobs) {
     advance_job(job, task.invoker, sim_.now());
   }

@@ -38,27 +38,15 @@
 namespace esg::platform {
 
 struct ControllerOptions {
-  TimeMs scan_interval_ms = 1.0;  ///< queue-scan cadence
   /// Coefficient of variation of the multiplicative Gaussian execution noise
   /// (Section 4: "the emulations add Gaussian noises to the performance").
   double noise_cv = 0.06;
-  /// Rounds a queue may fail placement before the forced minimum-config
-  /// dispatch (Section 3.1: "if a queue stays in the recheck list too long
-  /// (e.g., 3 rounds), it will be dispatched with the minimum configuration").
-  int recheck_rounds_before_min = 3;
   bool enable_prewarm = true;
   /// Ablation switches (Figure 12). With GPU sharing disabled every task
   /// occupies (and is billed for) the node's entire GPU; with batching
   /// disabled every task carries exactly one job.
   bool enable_gpu_sharing = true;
   bool enable_batching = true;
-  TimeMs keep_alive_ms = cluster::kKeepAliveMs;
-  /// Re-plan a queue whose length has not changed at most this often; in
-  /// between, cached candidates are retried against the (changed) worker
-  /// states, which is exactly the recheck-list behaviour of Section 3.1.
-  TimeMs replan_interval_ms = 5.0;
-  /// Safety valve: a queue deferring longer than this is dispatched anyway.
-  TimeMs defer_cap_ms = 30'000.0;
   /// Measurement warm-up: requests arriving before this time are simulated
   /// normally but excluded from the completion/cost/start metrics, so
   /// experiments report steady-state behaviour rather than the initial
@@ -80,14 +68,6 @@ struct ControllerOptions {
   /// invoker that failed, at most `max_task_retries` times per job; after
   /// that the request is aborted and counted as an SLO miss.
   int max_task_retries = 3;
-  TimeMs retry_backoff_base_ms = 8.0;
-  TimeMs retry_backoff_cap_ms = 512.0;
-  /// Watchdog: a dispatched task that has not completed within
-  /// `task_timeout_factor` x its noise-free expected latency (with a floor
-  /// for very short stages) is declared failed — how the controller detects
-  /// crashes and fault-injected stragglers without an oracle.
-  double task_timeout_factor = 4.0;
-  TimeMs task_timeout_floor_ms = 50.0;
   /// Elastic fleet manager (non-owning; nullptr = static fleet). When set,
   /// the controller wires the manager's hooks (queue depth, activation
   /// re-scan, drain-time provisioning cancellation), notifies it of

@@ -2,19 +2,21 @@
 # a message on stderr that starts with the CLI's name: not 1 (a runtime
 # failure) and not 134 (an exception escaping a worker thread). Some rows
 # fail while the flags are parsed, others only once run_scenario checks the
-# scenario, with one seed or with several seeds running on the replica pool.
-# The last rows are runtime failures: an output esg_sim cannot write exits 1
-# with a message naming the file, rather than 0 with the data lost. Run as
+# scenario, with one seed or with several seeds running in parallel.
+# The last rows are runtime failures: an output that esg_sim, esg_tracegen
+# or esg_report cannot write exits 1 with a message naming the file, rather
+# than 0 with the data lost. Run as
 #
 #   cmake -DESG_SIM=<path to esg_sim> -DESG_TRACEGEN=<path to esg_tracegen>
-#         -P esg_sim_exit_codes.cmake
+#         -DESG_REPORT=<path to esg_report> -P esg_sim_exit_codes.cmake
 #
 # Each expect_config_error() call is one esg_sim row: its arguments are
 # esg_sim's, and "\;" is a semicolon inside an argument. A row that starts
 # with SAYS <text> also wants <text> in the message.
-if(NOT ESG_SIM OR NOT ESG_TRACEGEN)
+if(NOT ESG_SIM OR NOT ESG_TRACEGEN OR NOT ESG_REPORT)
   message(FATAL_ERROR "usage: cmake -DESG_SIM=<path to esg_sim> "
                       "-DESG_TRACEGEN=<path to esg_tracegen> "
+                      "-DESG_REPORT=<path to esg_report> "
                       "-P ${CMAKE_CURRENT_LIST_FILE}")
 endif()
 
@@ -105,23 +107,31 @@ expect_config_error(--arrivals trace:@/no/such/file.csv)
 expect_tracegen_error(--bins 0)
 
 # Outputs that cannot be written (/dev/full takes no bytes, and no
-# directory can be made under it).
-function(expect_io_error)
-  execute_process(COMMAND "${ESG_SIM}" ${ARGN}
+# directory can be made under it). Each row runs the CLI `name` at `exe`.
+function(expect_io_error exe name)
+  execute_process(COMMAND "${exe}" ${ARGN}
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
   list(JOIN ARGN " " shown)
-  check_row(1 "${rc}" "${err}" esg_sim /dev/full "esg_sim ${shown}")
+  check_row(1 "${rc}" "${err}" ${name} /dev/full "${name} ${shown}")
   math(EXPR count "${rows} + 1")
   set(rows ${count} PARENT_SCOPE)
 endfunction()
 
 if(EXISTS /dev/full)
   foreach(flag --perf-out --trace-out --stats-out --report-out)
-    expect_io_error(--horizon-ms 500 ${flag} /dev/full)
+    expect_io_error("${ESG_SIM}" esg_sim --horizon-ms 500 ${flag} /dev/full)
   endforeach()
-  expect_io_error(--horizon-ms 500 --sweep --scheduler esg,infless
-                  --sweep-out /dev/full)
-  expect_io_error(--horizon-ms 500 --csv-dir /dev/full/x)
+  expect_io_error("${ESG_SIM}" esg_sim --horizon-ms 500 --sweep
+                  --scheduler esg,infless --sweep-out /dev/full)
+  expect_io_error("${ESG_SIM}" esg_sim --horizon-ms 500 --csv-dir /dev/full/x)
+  expect_io_error("${ESG_TRACEGEN}" esg_tracegen --bins 10 --out /dev/full)
+  set(trace "${CMAKE_CURRENT_BINARY_DIR}/esg_sim_exit_codes_trace.json")
+  execute_process(COMMAND "${ESG_SIM}" --horizon-ms 500 --trace-out "${trace}"
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc STREQUAL "0")
+    message(FATAL_ERROR "esg_sim --trace-out ${trace}: exit ${rc}:\n${err}")
+  endif()
+  expect_io_error("${ESG_REPORT}" esg_report "${trace}" --json-out /dev/full)
 else()
   message(STATUS "no /dev/full: the I/O-error rows are skipped")
 endif()

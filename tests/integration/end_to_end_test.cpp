@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <stdexcept>
+#include <vector>
 
+#include "exp/run_all.hpp"
 #include "exp/scenario.hpp"
 
 namespace esg::exp {
@@ -68,37 +71,56 @@ INSTANTIATE_TEST_SUITE_P(AllSchedulers, EveryScheduler,
                                       : std::string(to_string(info.param));
                          });
 
+/// One scenario per seed, as esg_sim's multi-seed path runs them.
+std::vector<Scenario> replicas(const Scenario& base,
+                               std::span<const std::uint64_t> seeds) {
+  const SchedulerKind scheduler[] = {base.scheduler};
+  return cross_product(base, scheduler, seeds);
+}
+
 TEST(Harness, ParallelReplicasMatchSequentialRuns) {
   const Scenario base = small_scenario(SchedulerKind::kEsg);
   const std::vector<std::uint64_t> seeds = {1, 2, 3};
-  const auto parallel = run_replicas(base, seeds, 3);
+  const auto parallel = run_all(replicas(base, seeds), 3);
   ASSERT_EQ(parallel.size(), 3u);
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     Scenario s = base;
     s.seed = seeds[i];
     const RunOutput solo = run_scenario(s);
-    EXPECT_EQ(parallel[i].metrics.total_cost, solo.metrics.total_cost);
-    EXPECT_EQ(parallel[i].metrics.requests(), solo.metrics.requests());
+    ASSERT_FALSE(parallel[i].error) << error_message(parallel[i].error);
+    EXPECT_EQ(parallel[i].output.metrics.total_cost, solo.metrics.total_cost);
+    EXPECT_EQ(parallel[i].output.metrics.requests(), solo.metrics.requests());
   }
 }
 
 TEST(Harness, ReplicaFailureIsRethrownOnTheCaller) {
   // run_scenario rejects a crash on an invoker the fleet does not have. The
-  // replicas run on pool threads, which must hand that error back to the
+  // replicas run on worker threads, which must hand that error back to the
   // caller instead of terminating the process.
   Scenario base = small_scenario(SchedulerKind::kEsg);
   base.horizon_ms = 2'000.0;
   base.fault = fault::parse_fault_spec("crash:invoker=99,at=1000,down=10");
   const std::vector<std::uint64_t> one = {1};
   const std::vector<std::uint64_t> three = {1, 2, 3};
-  EXPECT_THROW((void)run_replicas(base, one, 1), std::invalid_argument);
-  EXPECT_THROW((void)run_replicas(base, three, 3), std::invalid_argument);
+  for (const std::vector<std::uint64_t>& seeds : {one, three}) {
+    const auto results = run_all(replicas(base, seeds),
+                                 static_cast<unsigned>(seeds.size()));
+    ASSERT_EQ(results.size(), seeds.size());
+    for (const RunResult& result : results) {
+      ASSERT_TRUE(result.error);
+      EXPECT_THROW(std::rethrow_exception(result.error), std::invalid_argument);
+    }
+  }
 }
 
 TEST(Harness, AggregateAveragesAcrossReplicas) {
   const Scenario base = small_scenario(SchedulerKind::kEsg);
   const std::vector<std::uint64_t> seeds = {5, 6};
-  const auto outputs = run_replicas(base, seeds, 2);
+  std::vector<RunOutput> outputs;
+  for (RunResult& result : run_all(replicas(base, seeds), 2)) {
+    ASSERT_FALSE(result.error) << error_message(result.error);
+    outputs.push_back(std::move(result.output));
+  }
   const Aggregate agg = aggregate(outputs);
   EXPECT_NEAR(agg.slo_hit_rate,
               (outputs[0].metrics.slo_hit_rate() +

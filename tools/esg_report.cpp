@@ -90,6 +90,9 @@ int main(int argc, char** argv) {
         throw std::runtime_error("cannot open '" + json_out + "'");
       }
       write_report_json(report, file);
+      if (!file.flush()) {
+        throw std::runtime_error("cannot write '" + json_out + "'");
+      }
       std::printf("report written to %s\n", json_out.c_str());
     }
     if (json_stdout) {

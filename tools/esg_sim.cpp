@@ -11,39 +11,39 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "exp/cli.hpp"
+#include "exp/run_all.hpp"
 #include "metrics/export.hpp"
 #include "perf/layer_clock.hpp"
 #include "perf/report.hpp"
-#include "sweep/sweep.hpp"
 #include "tenant/tenant_spec.hpp"
 
 namespace {
 
-/// --sweep: run the (scheduler × seed) cross product on the pool, print a
+/// --sweep: run the (scheduler × seed) cross product in parallel, print a
 /// per-cell table plus per-scheduler aggregates, optionally dump the result
 /// table as deterministic JSON (esg.sweep.v1 — wall-clock fields excluded,
 /// so the file is byte-identical for any --jobs count).
 int run_sweep_cli(const esg::exp::CliOptions& opts) {
   using namespace esg;
-  sweep::SweepOptions sweep_opts;
-  sweep_opts.jobs = opts.jobs;
-  const std::vector<sweep::SweepCellResult> results = sweep::run_sweep(
-      sweep::cross_product(opts.scenario, opts.schedulers, opts.seeds),
-      sweep_opts);
+  const std::vector<exp::Scenario> cells =
+      exp::cross_product(opts.scenario, opts.schedulers, opts.seeds);
+  const std::vector<exp::RunResult> results = exp::run_all(cells, opts.jobs);
 
   bool any_failed = false;
   AsciiTable table({"cell", "requests", "SLO hit rate", "cost ($)",
                     "cold starts", "mean wait (ms)"});
-  for (const auto& cell : results) {
-    if (cell.failed) {
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const std::string label = std::string(exp::to_string(cells[i].scheduler)) +
+                              "/seed" + std::to_string(cells[i].seed);
+    if (results[i].error) {
       any_failed = true;
-      table.add_row({cell.label, "-", "failed", "-", "-", "-"});
-      std::fprintf(stderr, "esg_sim: cell %s failed: %s\n", cell.label.c_str(),
-                   cell.error.c_str());
+      table.add_row({label, "-", "failed", "-", "-", "-"});
+      std::fprintf(stderr, "esg_sim: cell %s failed: %s\n", label.c_str(),
+                   exp::error_message(results[i].error).c_str());
       continue;
     }
-    const auto& m = cell.output.metrics;
-    table.add_row({cell.label, std::to_string(m.requests()),
+    const auto& m = results[i].output.metrics;
+    table.add_row({label, std::to_string(m.requests()),
                    AsciiTable::pct(m.slo_hit_rate()),
                    AsciiTable::num(m.total_cost, 4),
                    std::to_string(m.cold_starts),
@@ -58,7 +58,7 @@ int run_sweep_cli(const esg::exp::CliOptions& opts) {
     std::vector<exp::RunOutput> outs;
     for (std::size_t k = 0; k < n_seeds; ++k) {
       const auto& cell = results[s * n_seeds + k];
-      if (!cell.failed) outs.push_back(cell.output);
+      if (!cell.error) outs.push_back(cell.output);
     }
     const auto agg = exp::aggregate(outs);
     std::printf("%-12s hit rate %5.1f%%  mean cost $%.4f  mean wait %.1f ms  "
@@ -82,7 +82,7 @@ int run_sweep_cli(const esg::exp::CliOptions& opts) {
                    i == 0 ? "" : ",", static_cast<int>(scheduler.size()),
                    scheduler.data(),
                    static_cast<unsigned long long>(opts.seeds[i % n_seeds]));
-      if (cell.failed) {
+      if (cell.error) {
         std::fprintf(file, ", \"failed\": true}");
         continue;
       }
@@ -101,7 +101,7 @@ int run_sweep_cli(const esg::exp::CliOptions& opts) {
       std::vector<exp::RunOutput> outs;
       for (std::size_t k = 0; k < n_seeds; ++k) {
         const auto& cell = results[s * n_seeds + k];
-        if (!cell.failed) outs.push_back(cell.output);
+        if (!cell.error) outs.push_back(cell.output);
       }
       const auto agg = exp::aggregate(outs);
       const auto scheduler = exp::to_string(opts.schedulers[s]);
@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
   }
 
   // With tracing (or a perf summary) the seeds run sequentially, each into
-  // its own file; the untraced path keeps the parallel replica runner.
+  // its own file; the untraced path runs them in parallel.
   std::vector<exp::RunOutput> outputs;
   try {
   if (opts.scenario.trace.enabled() || opts.perf_summary) {
@@ -322,7 +322,16 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   } else {
-    outputs = exp::run_replicas(opts.scenario, opts.seeds, opts.jobs);
+    const exp::SchedulerKind scheduler[] = {opts.scenario.scheduler};
+    std::vector<exp::RunResult> results = exp::run_all(
+        exp::cross_product(opts.scenario, scheduler, opts.seeds), opts.jobs);
+    // Every seed has run; the first failing seed's exception wins.
+    for (const exp::RunResult& result : results) {
+      if (result.error) std::rethrow_exception(result.error);
+    }
+    for (exp::RunResult& result : results) {
+      outputs.push_back(std::move(result.output));
+    }
   }
   } catch (const std::invalid_argument& e) {
     // Scenario validation that only runs inside run_scenario (fault/elastic

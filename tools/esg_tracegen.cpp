@@ -177,6 +177,10 @@ int main(int argc, char** argv) {
     } else {
       trace::write_trace_csv(generated, out);
     }
+    if (!out.flush()) {
+      throw std::runtime_error(
+          "cannot write '" + (opts.out.empty() ? "<stdout>" : opts.out) + "'");
+    }
     if (!opts.out.empty()) {
       std::fprintf(stderr,
                    "wrote %zu bins x %zu apps (%.0f invocations, %.1f s) to %s\n",
