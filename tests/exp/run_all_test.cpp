@@ -4,6 +4,7 @@
 // identical results for any --jobs count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <set>
@@ -92,6 +93,40 @@ TEST_F(RunAll, SlotOrderHoldsForAnyJobCount) {
           << "jobs " << jobs << " slot " << i;
     }
   }
+}
+
+TEST_F(RunAll, SingleJobStillCompletes) {
+  const auto scenarios = seeded(100);
+  const auto results = run_all(scenarios, 1, record_run);
+  ASSERT_EQ(results.size(), scenarios.size());
+  double sum = 0.0;
+  for (const RunResult& result : results) {
+    EXPECT_FALSE(result.error);
+    sum += result.output.simulated_end_ms;
+  }
+  EXPECT_EQ(sum, 4950.0);
+  // One worker thread ran every scenario, and it was not the caller.
+  for (std::size_t seed = 0; seed < scenarios.size(); ++seed) {
+    EXPECT_EQ(runs_of_seed[seed], 1) << "seed " << seed;
+    EXPECT_EQ(thread_of_seed[seed], thread_of_seed[0]) << "seed " << seed;
+  }
+  EXPECT_NE(thread_of_seed[0], std::this_thread::get_id());
+}
+
+TEST_F(RunAll, ZeroJobsMeansHardwareConcurrency) {
+  const auto scenarios = seeded(64);
+  const auto results = run_all(scenarios, 0, record_run);
+  ASSERT_EQ(results.size(), scenarios.size());
+  for (std::size_t seed = 0; seed < scenarios.size(); ++seed) {
+    EXPECT_FALSE(results[seed].error) << "slot " << seed;
+    EXPECT_EQ(runs_of_seed[seed], 1) << "seed " << seed;
+  }
+  const std::set<std::thread::id> threads(thread_of_seed.begin(),
+                                          thread_of_seed.begin() + 64);
+  EXPECT_GE(threads.size(), 1u);
+  EXPECT_LE(threads.size(),
+            std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);
 }
 
 TEST_F(RunAll, RunsEachScenarioExactlyOnce) {
