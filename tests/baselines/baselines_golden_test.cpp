@@ -8,7 +8,6 @@
 // defer rule, the plan-following dispatch or either packing policy moves it.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "baselines/infless.hpp"
 #include "baselines/orion.hpp"
 #include "common/rng.hpp"
+#include "support/fnv1a.hpp"
 #include "workload/applications.hpp"
 
 namespace esg::baselines {
@@ -26,20 +26,7 @@ namespace {
 constexpr int kQueriesPerSetting = 1'500;
 constexpr std::uint64_t kGoldenDigest = 0x92db8b80d30b29e3ull;
 
-class Fnv1a {
- public:
-  void add_u64(std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (v >> (8 * byte)) & 0xffu;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  void add_f64(double v) { add_u64(std::bit_cast<std::uint64_t>(v)); }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
+using test::Fnv1a;
 
 struct Fixture {
   profile::ProfileSet profiles = profile::ProfileSet::builtin();

@@ -8,7 +8,6 @@
 // simulator charges scheduling overhead from it.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -16,6 +15,7 @@
 #include "core/esg_1q.hpp"
 #include "profile/function_spec.hpp"
 #include "profile/profile_table.hpp"
+#include "support/fnv1a.hpp"
 
 namespace esg::core {
 namespace {
@@ -23,20 +23,7 @@ namespace {
 constexpr int kQueries = 3'000;
 constexpr std::uint64_t kGoldenDigest = 0x94749a684077799bull;
 
-class Fnv1a {
- public:
-  void add_u64(std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (v >> (8 * byte)) & 0xffu;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  void add_f64(double v) { add_u64(std::bit_cast<std::uint64_t>(v)); }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
+using test::Fnv1a;
 
 struct Query {
   std::vector<StageInput> stages;
