@@ -94,6 +94,7 @@ SearchResult esg_1q(std::span<const StageInput> stages, TimeMs g_slo_ms,
 
   SearchResult result;
   SearchStats& stats = result.stats;
+  TargetInterval& holds_for = result.holds_for;
   KBest min_rsc(options.k);
 
   std::vector<std::vector<Node>> levels(n + 1);
@@ -116,8 +117,10 @@ SearchResult esg_1q(std::span<const StageInput> stages, TimeMs g_slo_ms,
         const TimeMs t_low = path.latency_ms + e.latency_ms + suf[i + 1].min_lat;
         if (t_low >= g_slo_ms) {
           ++stats.pruned_time;
+          holds_for.hi = std::min(holds_for.hi, t_low);
           break;  // the list is latency-sorted: everything after is worse
         }
+        holds_for.lo = std::max(holds_for.lo, t_low);
         const Usd rsc_low = path.cost + e.per_job_cost + suf[i + 1].min_cost;
         if (!min_rsc.admits(rsc_low)) {
           ++stats.pruned_cost;

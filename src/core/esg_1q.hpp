@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -49,6 +50,22 @@ struct SearchStats {
   std::size_t paths_kept = 0;       ///< surviving partial paths (max over stages)
 };
 
+/// The targets a search's answer holds for. The target is read only by the
+/// time blade (tLow >= G_SLO): the cost blade, the sorts and the max_paths
+/// cut never see it. So every target in (lo, hi] makes the same decisions
+/// and gets the same config_pq, met_slo and stats.
+struct TargetInterval {
+  /// Largest tLow that passed the time blade (whether or not the cost blade
+  /// then pruned it); -inf if none did.
+  TimeMs lo = -std::numeric_limits<TimeMs>::infinity();
+  /// Smallest tLow that broke off a stage; +inf if none did.
+  TimeMs hi = std::numeric_limits<TimeMs>::infinity();
+
+  [[nodiscard]] bool contains(TimeMs g_slo_ms) const {
+    return lo < g_slo_ms && g_slo_ms <= hi;
+  }
+};
+
 struct SearchResult {
   /// Up to K full paths meeting the target, cheapest (per-job cost) first —
   /// the configuration priority queue of Section 3.1.
@@ -57,6 +74,8 @@ struct SearchResult {
   /// fastest path as a best-effort fallback.
   bool met_slo = false;
   SearchStats stats;
+  /// Every target for which the search returns this same answer.
+  TargetInterval holds_for;
 };
 
 struct SearchOptions {

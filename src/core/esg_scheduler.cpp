@@ -105,7 +105,7 @@ platform::PlanResult EsgScheduler::plan(const platform::QueueView& view) {
   search_options.k = options_.k;
 
   // Pass 1 — unconstrained batch: reveals the batch the group *wants*.
-  SearchResult unconstrained = esg_1q(stages, g_slo, search_options);
+  SearchResult unconstrained = memo_.search(stages, g_slo, search_options);
   std::size_t nodes = unconstrained.stats.nodes_expanded;
 
   platform::PlanResult plan;
@@ -193,7 +193,7 @@ platform::PlanResult EsgScheduler::plan(const platform::QueueView& view) {
   } else {
     stages.front().batch_cap =
         static_cast<std::uint16_t>(std::min<std::size_t>(view.queue_length, 0xffff));
-    result = esg_1q(stages, g_slo, search_options);
+    result = memo_.search(stages, g_slo, search_options);
     nodes += result.stats.nodes_expanded;
   }
 

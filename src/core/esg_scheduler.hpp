@@ -5,7 +5,8 @@
 //    share of the end-to-end SLO; ESG_1Q searches the group's configuration
 //    space with dual-blade pruning under the *remaining* budget, so every
 //    stage dispatch re-plans against the current system state (the paper's
-//    key difference from Orion/Aquatope).
+//    key difference from Orion/Aquatope). The searches go through an exact
+//    memo (SearchMemo): a repeated search returns the stored answer.
 //  - place(): ESG_Dispatch — predecessor/home invoker first for data
 //    locality, then warm invokers, then the emptiest cold invoker.
 #pragma once
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/esg_1q.hpp"
+#include "core/search_memo.hpp"
 #include "core/slo_distribution.hpp"
 #include "platform/scheduler.hpp"
 #include "profile/profile_table.hpp"
@@ -76,6 +78,8 @@ class EsgScheduler : public platform::Scheduler {
   std::unordered_map<AppId, const workload::AppDag*> dags_;
   /// Per-app fault pressure (see on_stage_retry); absent = 0.
   std::unordered_map<AppId, double> retry_pressure_;
+  /// Answers both of plan()'s searches, bit-identical to esg_1q.
+  SearchMemo memo_;
 
   /// The functions of `view`'s group from the current stage onward.
   [[nodiscard]] std::vector<workload::NodeIndex> remaining_group_stages(

@@ -66,7 +66,9 @@ TEST(PlanStreamGolden, DigestIsPinned) {
     const metrics::RunMetrics& m = out.metrics;
     ASSERT_FALSE(m.plan_overhead_ms.empty());
     ASSERT_FALSE(m.task_trace.empty());
-    if (row.name == "faulted") EXPECT_GT(m.retries, 0u);
+    if (row.name == "faulted") {
+      EXPECT_GT(m.retries, 0u);
+    }
     digest.add_u64(m.plan_overhead_ms.size());
     for (const double ms : m.plan_overhead_ms) digest.add_f64(ms);
     digest.add_u64(m.task_trace.size());

@@ -13,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "core/esg_1q.hpp"
+#include "core/search_memo.hpp"
 #include "profile/function_spec.hpp"
 #include "profile/profile_table.hpp"
 #include "support/fnv1a.hpp"
@@ -93,6 +94,29 @@ TEST(SearchGolden, CorpusDigestIsPinned) {
   EXPECT_GT(at_cap, kQueries / 10);
   EXPECT_EQ(digest.value(), kGoldenDigest)
       << "digest 0x" << std::hex << digest.value();
+}
+
+// The same corpus through one SearchMemo: the first pass mixes misses and
+// hits, and the second, whose every target lies in a cell the first pass
+// stored, is answered from the memo alone. Both must give the digest.
+TEST(SearchGolden, CorpusThroughOneMemoReproducesTheDigest) {
+  const profile::ProfileSet set = profile::ProfileSet::builtin();
+  SearchMemo memo;
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(::testing::Message() << "pass " << pass);
+    RngStream rng = RngFactory(16).stream("search-golden");
+    Fnv1a digest;
+    const std::size_t hits = memo.hits();
+    for (int i = 0; i < kQueries; ++i) {
+      const Query q = make_query(rng, set);
+      fold(digest, memo.search(q.stages, q.target_ms, q.options));
+    }
+    EXPECT_EQ(digest.value(), kGoldenDigest)
+        << "digest 0x" << std::hex << digest.value();
+    if (pass == 1) {
+      EXPECT_EQ(memo.hits() - hits, static_cast<std::size_t>(kQueries));
+    }
+  }
 }
 
 }  // namespace
