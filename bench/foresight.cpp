@@ -34,6 +34,17 @@ struct Predictor {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The trace below spreads the horizon over two days of 500 ms bins; each
+  // day needs at least two of them for a diurnal shape and a seasonal
+  // period, and a horizon under 1 s would leave it none.
+  constexpr TimeMs kMinHorizonMs = 2'000.0;
+  if (bench::horizon_ms() < kMinHorizonMs) {
+    std::fprintf(stderr,
+                 "bench_foresight: ESG_BENCH_HORIZON_MS must be at least %.0f "
+                 "(two days of two 500 ms bins), got %g\n",
+                 kMinHorizonMs, bench::horizon_ms());
+    return 2;
+  }
   bench::print_banner(
       "Foresight: reactive vs forecast-fed proactive scheduling",
       "acting lead-ms ahead of predicted ramps (prewarm targets + defer "

@@ -4,8 +4,8 @@
 # fail while the flags are parsed, others only once run_scenario checks the
 # scenario, with one seed or with several seeds running in parallel.
 # The last rows are runtime failures: an output that esg_sim, esg_tracegen
-# or esg_report cannot write exits 1 with a message naming the file, rather
-# than 0 with the data lost. Run as
+# or esg_report cannot write, stdout included, exits 1 with a message naming
+# the file, rather than 0 with the data lost. Run as
 #
 #   cmake -DESG_SIM=<path to esg_sim> -DESG_TRACEGEN=<path to esg_tracegen>
 #         -DESG_REPORT=<path to esg_report> -P esg_sim_exit_codes.cmake
@@ -117,6 +117,16 @@ function(expect_io_error exe name)
   set(rows ${count} PARENT_SCOPE)
 endfunction()
 
+# The same for stdout, which these rows send to /dev/full.
+function(expect_stdout_error exe name)
+  execute_process(COMMAND "${exe}" ${ARGN} RESULT_VARIABLE rc
+                  OUTPUT_FILE /dev/full ERROR_VARIABLE err)
+  list(JOIN ARGN " " shown)
+  check_row(1 "${rc}" "${err}" ${name} stdout "${name} ${shown} > /dev/full")
+  math(EXPR count "${rows} + 1")
+  set(rows ${count} PARENT_SCOPE)
+endfunction()
+
 if(EXISTS /dev/full)
   foreach(flag --perf-out --trace-out --stats-out --report-out)
     expect_io_error("${ESG_SIM}" esg_sim --horizon-ms 500 ${flag} /dev/full)
@@ -132,6 +142,8 @@ if(EXISTS /dev/full)
     message(FATAL_ERROR "esg_sim --trace-out ${trace}: exit ${rc}:\n${err}")
   endif()
   expect_io_error("${ESG_REPORT}" esg_report "${trace}" --json-out /dev/full)
+  expect_stdout_error("${ESG_SIM}" esg_sim --horizon-ms 500)
+  expect_stdout_error("${ESG_REPORT}" esg_report "${trace}" --json)
 else()
   message(STATUS "no /dev/full: the I/O-error rows are skipped")
 endif()

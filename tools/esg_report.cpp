@@ -33,9 +33,8 @@ exit codes: 0 success; 2 configuration error (bad flag, missing/malformed
 trace); 1 runtime failure (unwritable output, internal error).
 )";
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The whole CLI; main() adds the stdout check.
+int run(int argc, char** argv) {
   using namespace esg::obs::analysis;
   std::string trace_path;
   std::string json_out;
@@ -110,4 +109,18 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const int rc = run(argc, argv);
+  // The table or the --json report is the result: a full disk or a closed
+  // pipe that swallowed it fails the run instead of exiting 0.
+  std::cout.flush();
+  if (!std::cout || std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
+    std::fprintf(stderr, "esg_report: cannot write stdout\n");
+    return rc == 0 ? 1 : rc;
+  }
+  return rc;
 }

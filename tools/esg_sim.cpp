@@ -178,9 +178,8 @@ void write_csvs(const esg::exp::CliOptions& opts,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The whole CLI; main() adds the stdout check.
+int run(int argc, char** argv) {
   using namespace esg;
   exp::CliOptions opts;
   try {
@@ -456,4 +455,17 @@ int main(int argc, char** argv) {
     std::printf("CSVs written to %s/\n", opts.csv_dir.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const int rc = run(argc, argv);
+  // The tables are the run's result: a full disk or a closed pipe that
+  // swallowed them fails the run instead of exiting 0.
+  if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0) {
+    std::fprintf(stderr, "esg_sim: cannot write stdout\n");
+    return rc == 0 ? 1 : rc;
+  }
+  return rc;
 }
