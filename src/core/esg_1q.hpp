@@ -60,10 +60,6 @@ struct TargetInterval {
   TimeMs lo = -std::numeric_limits<TimeMs>::infinity();
   /// Smallest tLow that broke off a stage; +inf if none did.
   TimeMs hi = std::numeric_limits<TimeMs>::infinity();
-
-  [[nodiscard]] bool contains(TimeMs g_slo_ms) const {
-    return lo < g_slo_ms && g_slo_ms <= hi;
-  }
 };
 
 struct SearchResult {

@@ -44,7 +44,7 @@ SearchResult SearchMemo::search(std::span<const StageInput> stages,
                                  cell.pruned_cost, cell.paths_kept};
       result.holds_for = TargetInterval{cell.lo, hit->first};
       result.config_pq.resize(cell.paths);
-      const std::uint16_t* entry = &cells.entries[cell.first_entry];
+      const std::uint16_t* entry = cells.entries.data() + cell.first_entry;
       for (SearchPath& path : result.config_pq) {
         path.entries.reserve(views_.size());
         for (const profile::ProfileView& view : views_) {

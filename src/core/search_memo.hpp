@@ -70,6 +70,7 @@ class SearchMemo {
     std::uint16_t paths = 0;
     bool met_slo = false;
   };
+  static_assert(sizeof(Cell) == 32);
   struct Cells {
     std::map<TimeMs, Cell> by_hi;
     std::vector<std::uint16_t> entries;

@@ -108,7 +108,8 @@ TEST(SearchMemo, AnswersEveryTargetAsAFreshSearchDoes) {
     for (int t = 0; t < 48; ++t) {
       const TimeMs g = key.min_config_sum * rng.uniform(0.3, 2.5);
       const SearchResult fresh = esg_1q(key.stages, g, key.options);
-      ASSERT_TRUE(fresh.holds_for.contains(g));
+      ASSERT_LT(fresh.holds_for.lo, g);
+      ASSERT_LE(g, fresh.holds_for.hi);
       expect_same(memo.search(key.stages, g, key.options), fresh);
       cells.emplace(fresh.holds_for.lo, fresh.holds_for.hi);
     }
@@ -141,7 +142,8 @@ TEST(SearchMemo, HitsAnswerWithoutSearching) {
   const SearchResult first = memo.search(stages, 900.0);
   EXPECT_EQ(memo.cells(), 1u);
   EXPECT_EQ(memo.hits(), 0u);
-  ASSERT_TRUE(first.holds_for.contains(900.0));
+  ASSERT_LT(first.holds_for.lo, 900.0);
+  ASSERT_LE(900.0, first.holds_for.hi);
   // Every target of the cell is a hit, and a hit still reports the effort
   // of the search it stands for.
   const SearchResult at_hi = memo.search(stages, first.holds_for.hi);
