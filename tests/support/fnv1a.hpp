@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <string_view>
 
 namespace esg::test {
 
@@ -17,6 +18,14 @@ class Fnv1a {
     }
   }
   void add_f64(double v) { add_u64(std::bit_cast<std::uint64_t>(v)); }
+  /// Folds the length, then every byte of `bytes`.
+  void add_bytes(std::string_view bytes) {
+    add_u64(bytes.size());
+    for (const char c : bytes) {
+      hash_ ^= static_cast<unsigned char>(c);
+      hash_ *= 0x100000001b3ull;
+    }
+  }
   [[nodiscard]] std::uint64_t value() const { return hash_; }
 
  private:
