@@ -45,11 +45,10 @@ const std::set<InvokerId>& Cluster::warm_candidates(FunctionId function) const {
   return it == index_->warm.end() ? kEmpty : it->second;
 }
 
-void Cluster::drop_warm_candidate(FunctionId function, InvokerId id) const {
-  const auto it = index_->warm.find(function);
-  // Keep emptied sets alive: callers iterate warm_candidates() while
-  // dropping, and erasing the set object would invalidate their range.
-  if (it != index_->warm.end()) it->second.erase(id);
+std::size_t Cluster::warm_count(FunctionId function, TimeMs now) const {
+  std::size_t warm = 0;
+  for (const auto& inv : invokers_) warm += inv.warm_count(function, now);
+  return warm;
 }
 
 void Cluster::check_index_invariants(TimeMs now) const {

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -54,17 +55,24 @@ class Cluster {
   }
 
   /// Ascending-id set of invokers that *may* hold a warm container for
-  /// `function` — a lazy superset (keep-alive expiry is evaluated lazily), so
-  /// each candidate must be confirmed with Invoker::has_warm before use.
-  /// Iterating this set in order reproduces the historical whole-fleet
-  /// first-fit scan exactly. Never invalidated by drop_warm_candidate of a
-  /// *different* id (std::set erase semantics).
+  /// `function` — a lazy superset (keep-alive expiry is evaluated lazily).
+  /// For inspection only: find_warm is the one walk over it.
   [[nodiscard]] const std::set<InvokerId>& warm_candidates(
       FunctionId function) const;
 
-  /// Removes a candidate the caller has just observed with has_warm == false
-  /// (it can only re-enter via another add_warm, which re-inserts it).
-  void drop_warm_candidate(FunctionId function, InvokerId id) const;
+  /// The lowest-id invoker that holds a warm container for `function` at
+  /// `now` and that `accept(id)` takes, or std::nullopt. Walks the
+  /// candidate set in ascending id and asks Invoker::has_warm before
+  /// `accept`, so keep-alive expiries are observed (and traced) in the
+  /// order a whole-fleet first-fit scan observes them; a candidate seen
+  /// without a warm container leaves the set (only add_warm brings it back).
+  template <typename Accept>
+  [[nodiscard]] std::optional<InvokerId> find_warm(FunctionId function,
+                                                   TimeMs now,
+                                                   Accept accept) const;
+
+  /// Unexpired warm containers of `function` across the fleet at `now`.
+  [[nodiscard]] std::size_t warm_count(FunctionId function, TimeMs now) const;
 
   /// Cross-validates the incremental index against a full fleet scan:
   /// every invoker holding an unexpired warm container must appear in its
@@ -111,5 +119,23 @@ class Cluster {
   // works from const queries.
   std::unique_ptr<ClusterStateIndex> index_;
 };
+
+template <typename Accept>
+std::optional<InvokerId> Cluster::find_warm(FunctionId function, TimeMs now,
+                                            Accept accept) const {
+  const auto it = index_->warm.find(function);
+  if (it == index_->warm.end()) return std::nullopt;
+  std::set<InvokerId>& candidates = it->second;
+  for (auto cit = candidates.begin(); cit != candidates.end();) {
+    const InvokerId id = *cit;
+    if (!invokers_[id.get()].has_warm(function, now)) {
+      cit = candidates.erase(cit);
+      continue;
+    }
+    if (accept(id)) return id;
+    ++cit;
+  }
+  return std::nullopt;
+}
 
 }  // namespace esg::cluster

@@ -6,11 +6,11 @@
 //
 //  - `warm` maps a function to the ascending-id set of invokers that *may*
 //    hold a warm container for it. It is a lazy superset: add_warm inserts
-//    eagerly, but keep-alive expiry is evaluated lazily, so a candidate must
-//    be confirmed with Invoker::has_warm before use. Once has_warm observes
-//    false the candidate can be dropped — a node only re-enters via another
-//    add_warm, which re-inserts it. Crash and retire erase their node
-//    eagerly (they clear the whole warm pool anyway).
+//    eagerly, but keep-alive expiry is evaluated lazily, so its one reader,
+//    Cluster::find_warm, confirms each candidate with Invoker::has_warm and
+//    drops those found empty — a node only re-enters via another add_warm,
+//    which re-inserts it. Crash and retire erase their node eagerly (they
+//    clear the whole warm pool anyway).
 //
 //  - `free_vcpus` / `free_vgpus` mirror Cluster::total_free_* as running
 //    sums over non-retired nodes, updated on allocate/release and on the

@@ -29,12 +29,30 @@ void Invoker::release(std::uint16_t vcpus, std::uint16_t vgpus) {
   }
 }
 
-void Invoker::index_erase_warm() {
-  if (index_ == nullptr) return;
-  for (const auto& [fn, _] : warm_) {
-    auto it = index_->warm.find(fn);
-    if (it != index_->warm.end()) it->second.erase(id_);
+void Invoker::release_warm_pool(TimeMs now, WarmEnd reason) {
+  if (warm_callback_) {
+    // Sorted function order: warm_ is an unordered_map and the callback
+    // feeds the trace, which must stay byte-reproducible.
+    std::vector<FunctionId> functions;
+    functions.reserve(warm_.size());
+    for (const auto& [fn, _] : warm_) functions.push_back(fn);
+    std::sort(functions.begin(), functions.end());
+    for (FunctionId fn : functions) {
+      for (const WarmEntry& e : warm_.at(fn)) {
+        // Entries that had already expired are reported as such; the rest
+        // end for `reason`.
+        warm_callback_(id_, fn, e.since, std::min(e.expiry, now),
+                       e.expiry <= now ? WarmEnd::kExpired : reason);
+      }
+    }
   }
+  if (index_ != nullptr) {
+    for (const auto& [fn, _] : warm_) {
+      auto it = index_->warm.find(fn);
+      if (it != index_->warm.end()) it->second.erase(id_);
+    }
+  }
+  warm_.clear();
 }
 
 Invoker::WarmPool::iterator Invoker::prune_expired(FunctionId function,
@@ -89,24 +107,7 @@ void Invoker::add_warm(FunctionId function, TimeMs now, TimeMs keep_alive) {
 }
 
 void Invoker::crash(TimeMs now) {
-  if (warm_callback_) {
-    // Sorted function order: warm_ is an unordered_map and the callback
-    // feeds the trace, which must stay byte-reproducible.
-    std::vector<FunctionId> functions;
-    functions.reserve(warm_.size());
-    for (const auto& [fn, _] : warm_) functions.push_back(fn);
-    std::sort(functions.begin(), functions.end());
-    for (FunctionId fn : functions) {
-      for (const WarmEntry& e : warm_.at(fn)) {
-        // Entries that had already expired are reported as such; the rest
-        // die with the node.
-        warm_callback_(id_, fn, e.since, std::min(e.expiry, now),
-                       e.expiry <= now ? WarmEnd::kExpired : WarmEnd::kCrashed);
-      }
-    }
-  }
-  index_erase_warm();
-  warm_.clear();
+  release_warm_pool(now, WarmEnd::kCrashed);
   alive_ = false;
 }
 
@@ -140,22 +141,7 @@ void Invoker::retire(TimeMs now) {
         "Invoker::retire: node is not draining or warming");
   check(used_vcpus_ == 0 && used_vgpus_ == 0,
         "Invoker::retire: node still holds task resources (leak)");
-  if (warm_callback_) {
-    // Sorted function order, same as crash(): the callback feeds the trace,
-    // which must stay byte-reproducible.
-    std::vector<FunctionId> functions;
-    functions.reserve(warm_.size());
-    for (const auto& [fn, _] : warm_) functions.push_back(fn);
-    std::sort(functions.begin(), functions.end());
-    for (FunctionId fn : functions) {
-      for (const WarmEntry& e : warm_.at(fn)) {
-        warm_callback_(id_, fn, e.since, std::min(e.expiry, now),
-                       e.expiry <= now ? WarmEnd::kExpired : WarmEnd::kDrained);
-      }
-    }
-  }
-  index_erase_warm();
-  warm_.clear();
+  release_warm_pool(now, WarmEnd::kDrained);
   state_ = NodeState::kRetired;
   // The node leaves the free-resource totals; used is 0 (checked above), so
   // its entire free capacity goes away.

@@ -175,7 +175,10 @@ class Invoker {
   /// Drops `function`'s containers expired at `now`; returns its pool entry,
   /// or warm_.end() when none is left (one lookup for the caller's query).
   WarmPool::iterator prune_expired(FunctionId function, TimeMs now) const;
-  void index_erase_warm();
+  /// Empties the warm pool, reporting each container as ending for
+  /// `reason` (as expired if its window had already run out) and erasing
+  /// this node from the index's candidate sets. Shared by crash and retire.
+  void release_warm_pool(TimeMs now, WarmEnd reason);
 };
 
 }  // namespace esg::cluster

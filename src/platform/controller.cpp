@@ -672,45 +672,8 @@ void Controller::process_queue(std::size_t qi) {
     // Phase A — reuse: any fitting invoker that already holds a warm
     // container serves the task (that is what keep-alive instances are
     // for, on every platform); locality breaks ties.
-    const std::optional<InvokerId> warm_fit = [&]() -> std::optional<InvokerId> {
-      const auto fits_warm = [&](InvokerId id) {
-        if (ctx.excluded_invoker.valid() && id == ctx.excluded_invoker) {
-          return false;
-        }
-        const auto& inv = cluster_.invoker(id);
-        return inv.can_fit(config.vcpus, config.vgpus) &&
-               inv.has_warm(queue.function, sim_.now());
-      };
-      if (scheduler_.prefers_locality()) {
-        if (ctx.predecessor_invoker.valid() &&
-            fits_warm(ctx.predecessor_invoker)) {
-          return ctx.predecessor_invoker;
-        }
-        if (fits_warm(ctx.home_invoker)) return ctx.home_invoker;
-      }
-      // Fleet scan through the warm-pool index: candidates come back in
-      // ascending id order, reproducing the historical whole-fleet first
-      // fit without visiting nodes that never parked a container. Stale
-      // candidates (keep-alive expired, crashed, drained) are dropped as
-      // they are observed — they can only re-enter via add_warm.
-      const std::set<InvokerId>& warm_ids =
-          cluster_.warm_candidates(queue.function);
-      for (auto it = warm_ids.begin(); it != warm_ids.end();) {
-        const InvokerId id = *it;
-        ++it;  // advance before the erase below invalidates `id`'s position
-        if (!cluster_.invoker(id).has_warm(queue.function, sim_.now())) {
-          cluster_.drop_warm_candidate(queue.function, id);
-          continue;
-        }
-        if (ctx.excluded_invoker.valid() && id == ctx.excluded_invoker) {
-          continue;
-        }
-        if (cluster_.invoker(id).can_fit(config.vcpus, config.vgpus)) {
-          return id;
-        }
-      }
-      return std::nullopt;
-    }();
+    const std::optional<InvokerId> warm_fit =
+        warm_place(ctx, cluster_, scheduler_.prefers_locality());
     if (warm_fit.has_value()) {
       ++counters_.warm_hits;
       queue.placement_failures = 0;
@@ -1403,16 +1366,9 @@ void Controller::provision_container(InvokerId invoker, FunctionId function) {
 bool Controller::function_active_anywhere(FunctionId function) const {
   auto it = active_by_function_.find(function);
   if (it != active_by_function_.end() && it->second > 0) return true;
-  // Warm-pool index instead of a fleet scan; stale candidates are dropped
-  // as observed (same lazy contract as the placement path).
-  const std::set<InvokerId>& warm_ids = cluster_.warm_candidates(function);
-  for (auto cit = warm_ids.begin(); cit != warm_ids.end();) {
-    const InvokerId id = *cit;
-    ++cit;
-    if (cluster_.invoker(id).has_warm(function, sim_.now())) return true;
-    cluster_.drop_warm_candidate(function, id);
-  }
-  return false;
+  return cluster_
+      .find_warm(function, sim_.now(), [](InvokerId) { return true; })
+      .has_value();
 }
 
 void Controller::complete_task(const Task& task) {

@@ -2,33 +2,45 @@
 
 namespace esg::platform {
 
-std::optional<InvokerId> locality_first_place(const PlacementContext& ctx,
-                                              const cluster::Cluster& cluster) {
-  const auto fits = [&](InvokerId id) {
+namespace {
+
+/// The test every placement step applies: ctx.config fits the invoker, and
+/// it is not the one a retried job must avoid.
+auto fits_test(const PlacementContext& ctx, const cluster::Cluster& cluster) {
+  return [&ctx, &cluster](InvokerId id) {
     if (ctx.excluded_invoker.valid() && id == ctx.excluded_invoker) {
       return false;
     }
     return cluster.invoker(id).can_fit(ctx.config.vcpus, ctx.config.vgpus);
   };
-  const auto warm = [&](InvokerId id) {
-    return cluster.invoker(id).has_warm(ctx.function, ctx.now_ms);
-  };
+}
 
-  // 1. Warm + local: the predecessor's invoker (data locality) for
-  //    non-entry stages, the home invoker for entry stages.
-  if (ctx.predecessor_invoker.valid() && fits(ctx.predecessor_invoker) &&
-      warm(ctx.predecessor_invoker)) {
-    return ctx.predecessor_invoker;
-  }
-  if (ctx.home_invoker.valid() && fits(ctx.home_invoker) &&
-      warm(ctx.home_invoker)) {
-    return ctx.home_invoker;
-  }
+}  // namespace
 
-  // 2. Any other invoker with a warm container for this function.
-  for (const auto& inv : cluster.invokers()) {
-    if (fits(inv.id()) && warm(inv.id())) return inv.id();
+std::optional<InvokerId> warm_place(const PlacementContext& ctx,
+                                    const cluster::Cluster& cluster,
+                                    bool local) {
+  const auto fits = fits_test(ctx, cluster);
+  // Warm + local: the predecessor's invoker (data locality) for non-entry
+  // stages, the home invoker for entry stages.
+  if (local) {
+    for (const InvokerId id : {ctx.predecessor_invoker, ctx.home_invoker}) {
+      if (id.valid() && fits(id) &&
+          cluster.invoker(id).has_warm(ctx.function, ctx.now_ms)) {
+        return id;
+      }
+    }
   }
+  // Any other invoker with a warm container for this function.
+  return cluster.find_warm(ctx.function, ctx.now_ms, fits);
+}
+
+std::optional<InvokerId> locality_first_place(const PlacementContext& ctx,
+                                              const cluster::Cluster& cluster) {
+  const auto fits = fits_test(ctx, cluster);
+
+  // 1.-2. Warm: locally first, then anywhere.
+  if (const auto warm = warm_place(ctx, cluster, true)) return warm;
 
   // 3. Cold, but local.
   if (ctx.predecessor_invoker.valid() && fits(ctx.predecessor_invoker)) {

@@ -144,10 +144,18 @@ class Scheduler {
   return waited_ms < 0.5 * slack_ms;
 }
 
-/// Shared fallback placement used by several strategies and by the
-/// controller's forced-minimum dispatch: home/predecessor first, then any
-/// warm invoker, then the cold invoker with the most free resources
-/// (Section 3.4).
+/// The one warm-reuse step (DESIGN.md §4b): a fitting invoker that holds a
+/// warm container for ctx.function — with `local`, the predecessor's and
+/// then the home invoker first — else the lowest-id fitting warm invoker
+/// (Cluster::find_warm). "Fitting" means ctx.config fits and the invoker is
+/// not ctx.excluded_invoker. std::nullopt when no warm container fits.
+[[nodiscard]] std::optional<InvokerId> warm_place(
+    const PlacementContext& ctx, const cluster::Cluster& cluster, bool local);
+
+/// ESG_Dispatch (Section 3.4), the shared fallback placement of several
+/// strategies and of the controller's forced-minimum dispatch: warm_place
+/// with locality, then the predecessor's or home invoker cold, then the
+/// cold invoker with the most free resources.
 [[nodiscard]] std::optional<InvokerId> locality_first_place(
     const PlacementContext& ctx, const cluster::Cluster& cluster);
 

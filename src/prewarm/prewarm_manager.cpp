@@ -30,15 +30,6 @@ std::size_t PrewarmManager::target_pool(const Stream& stream) {
   return std::max(reactive, stream.proactive_target);
 }
 
-std::size_t PrewarmManager::warm_count(FunctionId function,
-                                       TimeMs now_ms) const {
-  std::size_t warm = 0;
-  for (const auto& inv : cluster_.invokers()) {
-    warm += inv.warm_count(function, now_ms);
-  }
-  return warm;
-}
-
 void PrewarmManager::on_invocation(AppId app, FunctionId function,
                                    InvokerId invoker, TimeMs now_ms,
                                    TimeMs duration_ms) {
@@ -56,7 +47,7 @@ void PrewarmManager::on_invocation(AppId app, FunctionId function,
   if (!stream.interval.initialized()) return;
 
   const std::size_t target = target_pool(stream);
-  const std::size_t warm = warm_count(function, now_ms);
+  const std::size_t warm = cluster_.warm_count(function, now_ms);
   if (warm + stream.outstanding >= target) return;
   const std::size_t missing = target - warm - stream.outstanding;
 
@@ -92,7 +83,7 @@ void PrewarmManager::on_forecast_bin(TimeMs now_ms) {
     if (stream.proactive_target == 0) continue;
 
     const std::size_t target = target_pool(stream);
-    const std::size_t warm = warm_count(function, now_ms);
+    const std::size_t warm = cluster_.warm_count(function, now_ms);
     if (warm + stream.outstanding >= target) continue;
     const std::size_t missing = target - warm - stream.outstanding;
 
@@ -142,7 +133,7 @@ void PrewarmManager::schedule_warms(std::uint64_t k, FunctionId function,
       const std::size_t target_now = inner_it != streams_.end()
                                          ? target_pool(inner_it->second)
                                          : 1;
-      const std::size_t warm_now = warm_count(function, sim_.now());
+      const std::size_t warm_now = cluster_.warm_count(function, sim_.now());
       if (warm_now >= target_now) {
         if (inner_it != streams_.end() && inner_it->second.outstanding > 0) {
           --inner_it->second.outstanding;

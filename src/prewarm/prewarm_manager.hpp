@@ -88,9 +88,6 @@ class PrewarmManager {
   /// forecast target while one is standing.
   [[nodiscard]] static std::size_t target_pool(const Stream& stream);
 
-  /// Warm containers of `function` live anywhere in the fleet at `now_ms`.
-  [[nodiscard]] std::size_t warm_count(FunctionId function, TimeMs now_ms) const;
-
   /// Schedules `missing` warm-ups of `function` at `fire_at`, spread over
   /// Active invokers starting at `anchor`; shared by both paths. The
   /// fire-time re-check against the then-current target (and the

@@ -11,40 +11,26 @@ std::optional<InvokerId> MqfqStickyScheduler::place(
     }
     return cluster.invoker(id).can_fit(ctx.config.vcpus, ctx.config.vgpus);
   };
-  const auto warm = [&](InvokerId id) {
-    return cluster.invoker(id).has_warm(ctx.function, ctx.now_ms);
-  };
-  const auto in_slice = [&](InvokerId id) {
-    return id.valid() && fair_queue_->sticky(t, id);
-  };
 
-  // 1. Data locality inside the slice: the predecessor's invoker when it is
-  //    one of ours, warm and fitting.
-  if (in_slice(ctx.predecessor_invoker) && fits(ctx.predecessor_invoker) &&
-      warm(ctx.predecessor_invoker)) {
-    return ctx.predecessor_invoker;
-  }
-
-  // 2./3. Scan the slice from its deterministic anchor: warm first, then the
-  //       cold slice member with the most free resources.
+  // 1. The slice member with the most free resources, scanned from the
+  //    slice's deterministic anchor.
   const std::size_t n = cluster.size();
   const std::size_t start = fair_queue_->sticky_home(t).get() % n;
-  std::optional<InvokerId> cold_best;
-  int cold_score = -1;
+  std::optional<InvokerId> best;
+  int best_score = -1;
   for (std::size_t step = 0; step < n; ++step) {
     const InvokerId id(static_cast<std::uint32_t>((start + step) % n));
-    if (!in_slice(id) || !fits(id)) continue;
-    if (warm(id)) return id;
+    if (!fair_queue_->sticky(t, id) || !fits(id)) continue;
     const auto& inv = cluster.invoker(id);
     const int score = inv.free_vgpus() * 64 + inv.free_vcpus();
-    if (score > cold_score) {
-      cold_score = score;
-      cold_best = id;
+    if (score > best_score) {
+      best_score = score;
+      best = id;
     }
   }
-  if (cold_best.has_value()) return cold_best;
+  if (best.has_value()) return best;
 
-  // 4. Slice full: spill through ESG_Dispatch over the whole fleet so the
+  // 2. Slice full: spill through ESG_Dispatch over the whole fleet so the
   //    tenant is not starved by its own affinity.
   return inner_.place(ctx, cluster);
 }

@@ -5,12 +5,12 @@
 // MQFQ-Sticky is a *fairness* layer, not a configuration planner. What it
 // changes is placement and dispatch order:
 //
-//   - placement is locality-sticky per flow: each tenant owns a
-//     weight-proportional slice of the device ring (FairQueue), and its
-//     batches land there first (warm before cold, predecessor-local when the
-//     predecessor is inside the slice), spilling to ESG_Dispatch only when
-//     the slice is full — so a tenant's working set stays warm on its own
-//     devices and a neighbour's burst cannot evict it;
+//   - placement is sticky per flow: each tenant owns a weight-proportional
+//     slice of the device ring (FairQueue), and place() puts the tenant's
+//     new containers on the slice member with the most free resources,
+//     spilling to ESG_Dispatch only when the slice is full. Warm reuse is
+//     not the slice's: the controller reuses any fitting warm container,
+//     fleet-wide, before it asks place() (DESIGN.md §4b);
 //   - dispatch order and throttling live in the controller, which scans
 //     queues in ascending flow virtual time and pauses flows more than T
 //     ahead of the slowest active one (FairQueue::throttled).

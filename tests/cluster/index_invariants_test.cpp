@@ -6,16 +6,20 @@
 // activate. check_index_invariants() is the cross-validating scan.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "cluster/cluster.hpp"
+#include "common/rng.hpp"
 
 namespace esg::cluster {
 namespace {
 
 FunctionId fn(std::uint32_t v) { return FunctionId{v}; }
 InvokerId inv(std::uint32_t v) { return InvokerId{v}; }
+bool accept_any(InvokerId) { return true; }
 
 std::size_t scan_free_vcpus(const Cluster& cluster) {
   std::size_t total = 0;
@@ -74,7 +78,7 @@ TEST(ClusterIndex, AcquireLeavesLazySupersetIntact) {
   // demands it contains every node with has_warm == true.
   cluster.check_index_invariants(5.0);
   EXPECT_FALSE(cluster.invoker(inv(1)).has_warm(fn(3), 5.0));
-  cluster.drop_warm_candidate(fn(3), inv(1));
+  EXPECT_FALSE(cluster.find_warm(fn(3), 5.0, accept_any).has_value());
   EXPECT_TRUE(cluster.warm_candidates(fn(3)).empty());
   cluster.check_index_invariants(5.0);
 }
@@ -84,10 +88,11 @@ TEST(ClusterIndex, LazyExpiryObservedThenDropped) {
   cluster.invoker(inv(0)).add_warm(fn(1), 0.0, /*keep_alive=*/100.0);
   cluster.check_index_invariants(50.0);
   // Past expiry the entry is gone from the true state but may linger in the
-  // candidate set until a caller observes has_warm == false and drops it.
+  // candidate set until find_warm observes has_warm == false and drops it.
   EXPECT_FALSE(cluster.invoker(inv(0)).has_warm(fn(1), 200.0));
   cluster.check_index_invariants(200.0);
-  cluster.drop_warm_candidate(fn(1), inv(0));
+  EXPECT_FALSE(cluster.find_warm(fn(1), 200.0, accept_any).has_value());
+  EXPECT_TRUE(cluster.warm_candidates(fn(1)).empty());
   cluster.check_index_invariants(200.0);
   // Re-parking after the drop re-inserts the candidate.
   cluster.invoker(inv(0)).add_warm(fn(1), 300.0);
@@ -172,6 +177,93 @@ TEST(ClusterIndex, FullLifecycleChurnStaysConsistent) {
   cluster.check_index_invariants(520.0);
   EXPECT_EQ(cluster.total_free_vcpus(), scan_free_vcpus(cluster));
   EXPECT_EQ(cluster.total_free_vgpus(), scan_free_vgpus(cluster));
+}
+
+struct WarmSpan {
+  InvokerId invoker;
+  FunctionId function;
+  TimeMs since = 0.0;
+  TimeMs end = 0.0;
+  WarmEnd reason{};
+  bool operator==(const WarmSpan&) const = default;
+};
+
+/// A cluster that logs every keep-alive window it closes.
+struct LoggedCluster {
+  Cluster cluster;
+  std::vector<WarmSpan> log;
+
+  explicit LoggedCluster(std::size_t nodes) : cluster(nodes) {
+    cluster.set_warm_span_callback([this](InvokerId i, FunctionId f, TimeMs since,
+                                          TimeMs end, WarmEnd reason) {
+      log.push_back({i, f, since, end, reason});
+    });
+  }
+};
+
+// find_warm against the walk it replaces: every invoker in id order,
+// has_warm before accept. Two twin clusters take the same random adds,
+// acquires, expiries, crashes and retirements; after each step both answer
+// the same query with a random accept set, and the answers, the logged
+// keep-alive spans and the index invariants must agree.
+TEST(ClusterIndex, FindWarmMatchesAFleetWalkUnderChurn) {
+  constexpr std::size_t kNodes = 6;
+  constexpr std::uint32_t kFunctions = 4;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    RngStream rng = RngFactory(seed).stream("find-warm");
+    LoggedCluster indexed(kNodes);
+    LoggedCluster walked(kNodes);
+    TimeMs now = 0.0;
+    for (int step = 0; step < 400; ++step) {
+      const InvokerId id = inv(static_cast<std::uint32_t>(rng.below(kNodes)));
+      const FunctionId f = fn(static_cast<std::uint32_t>(rng.below(kFunctions)));
+      const double op = rng.uniform();
+      const TimeMs keep_alive = rng.uniform(10.0, 200.0);
+      for (LoggedCluster* twin : {&indexed, &walked}) {
+        Invoker& node = twin->cluster.invoker(id);
+        if (op < 0.45) {
+          node.add_warm(f, now, keep_alive);
+        } else if (op < 0.7) {
+          (void)node.acquire_warm(f, now);
+        } else if (op < 0.8) {
+          if (node.alive()) {
+            node.crash(now);
+          } else {
+            node.rejoin();
+          }
+        } else if (op < 0.9) {
+          if (node.state() == NodeState::kActive) {
+            node.begin_drain();
+            node.retire(now);
+          } else if (node.state() == NodeState::kRetired) {
+            node.begin_warming();
+          } else if (node.state() == NodeState::kWarming) {
+            node.activate();
+          }
+        }
+      }
+      now += rng.uniform(0.0, 40.0);
+
+      const FunctionId query = fn(static_cast<std::uint32_t>(rng.below(kFunctions)));
+      const std::uint64_t accepted = rng.below(1u << kNodes);
+      const auto accept = [accepted](InvokerId i) {
+        return ((accepted >> i.get()) & 1u) != 0;
+      };
+      std::optional<InvokerId> expected;
+      for (const Invoker& node : walked.cluster.invokers()) {
+        if (node.has_warm(query, now) && accept(node.id())) {
+          expected = node.id();
+          break;
+        }
+      }
+      ASSERT_EQ(indexed.cluster.find_warm(query, now, accept), expected)
+          << "step " << step;
+      ASSERT_EQ(indexed.log, walked.log) << "step " << step;
+      indexed.cluster.check_index_invariants(now);
+      walked.cluster.check_index_invariants(now);
+    }
+  }
 }
 
 TEST(ClusterIndex, MovedClusterKeepsWorkingIndex) {
