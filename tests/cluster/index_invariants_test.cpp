@@ -194,10 +194,9 @@ struct LoggedCluster {
   std::vector<WarmSpan> log;
 
   explicit LoggedCluster(std::size_t nodes) : cluster(nodes) {
-    cluster.set_warm_span_callback([this](InvokerId i, FunctionId f, TimeMs since,
-                                          TimeMs end, WarmEnd reason) {
-      log.push_back({i, f, since, end, reason});
-    });
+    cluster.set_warm_span_callback(
+        [this](InvokerId i, FunctionId f, TimeMs since, TimeMs end,
+               WarmEnd reason) { log.push_back({i, f, since, end, reason}); });
   }
 };
 
@@ -207,17 +206,20 @@ struct LoggedCluster {
 // the same query with a random accept set, and the answers, the logged
 // keep-alive spans and the index invariants must agree.
 TEST(ClusterIndex, FindWarmMatchesAFleetWalkUnderChurn) {
-  constexpr std::size_t kNodes = 6;
+  constexpr std::uint32_t kNodes = 6;
   constexpr std::uint32_t kFunctions = 4;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE(seed);
     RngStream rng = RngFactory(seed).stream("find-warm");
+    const auto pick = [&rng](std::uint32_t n) {
+      return static_cast<std::uint32_t>(rng.below(n));
+    };
     LoggedCluster indexed(kNodes);
     LoggedCluster walked(kNodes);
     TimeMs now = 0.0;
     for (int step = 0; step < 400; ++step) {
-      const InvokerId id = inv(static_cast<std::uint32_t>(rng.below(kNodes)));
-      const FunctionId f = fn(static_cast<std::uint32_t>(rng.below(kFunctions)));
+      const InvokerId id = inv(pick(kNodes));
+      const FunctionId f = fn(pick(kFunctions));
       const double op = rng.uniform();
       const TimeMs keep_alive = rng.uniform(10.0, 200.0);
       for (LoggedCluster* twin : {&indexed, &walked}) {
@@ -245,8 +247,8 @@ TEST(ClusterIndex, FindWarmMatchesAFleetWalkUnderChurn) {
       }
       now += rng.uniform(0.0, 40.0);
 
-      const FunctionId query = fn(static_cast<std::uint32_t>(rng.below(kFunctions)));
-      const std::uint64_t accepted = rng.below(1u << kNodes);
+      const FunctionId query = fn(pick(kFunctions));
+      const std::uint32_t accepted = pick(1u << kNodes);
       const auto accept = [accepted](InvokerId i) {
         return ((accepted >> i.get()) & 1u) != 0;
       };

@@ -90,11 +90,13 @@ std::vector<Row> trace_rows() {
   }
   Scenario tenants = base;
   tenants.scheduler = SchedulerKind::kMqfqSticky;
-  tenants.tenants = tenant::parse_tenant_spec("gold:3:apps=0,2;bronze:1:apps=1,3");
+  tenants.tenants =
+      tenant::parse_tenant_spec("gold:3:apps=0,2;bronze:1:apps=1,3");
   rows.push_back({"mqfq-two-tenants", tenants});
   Scenario faulted = base;
   faulted.fault = fault::parse_fault_spec(
-      "dispatch:prob=0.05;coldstart:prob=0.1;crash:invoker=1,at=300000,down=40000");
+      "dispatch:prob=0.05;coldstart:prob=0.1;"
+      "crash:invoker=1,at=300000,down=40000");
   rows.push_back({"esg-faulted", faulted});
   return rows;
 }
