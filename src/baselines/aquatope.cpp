@@ -13,6 +13,8 @@ namespace esg::baselines {
 
 namespace {
 
+constexpr double kTrainNoiseCv = 0.06;  ///< profiling-run noise
+
 /// One candidate: a profile entry per stage. The GP sees its encoding.
 using Candidate = std::vector<const profile::ProfileEntry*>;
 
@@ -83,7 +85,7 @@ void AquatopeScheduler::train(const workload::AppDag& app,
     Usd cost = 0.0;
     for (const auto* e : c) {
       const double noise =
-          std::max(0.3, rng.gaussian(1.0, options_.train_noise_cv));
+          std::max(0.3, rng.gaussian(1.0, kTrainNoiseCv));
       e2e += e->latency_ms * noise;
       cost += e->per_job_cost;
     }

@@ -22,7 +22,6 @@ class AquatopeScheduler : public platform::Scheduler {
     std::size_t samples_per_round = 5;    ///< configurations per round
     std::size_t ei_pool = 128;            ///< EI candidates scored per round
     double penalty = 10.0;                ///< SLO-violation penalty weight
-    double train_noise_cv = 0.06;         ///< profiling-run noise
   };
 
   /// Trains in the constructor (the offline phase). The SLO setting is part

@@ -27,6 +27,9 @@ constexpr std::size_t kIndexBits = 4;
 constexpr std::size_t kMaxStages = 5;
 constexpr std::size_t kMaxAxisValues = 15;
 
+/// Scheduling latency charged for a search (deterministic model).
+constexpr core::OverheadModel kOverhead{};
+
 /// Per-stage option axes: the distinct batch/vCPU/vGPU values present in the
 /// stage's profile, ascending, and a dense (batch x vCPU x vGPU) grid of the
 /// profile's entries over them, null where the profile lacks that config
@@ -170,7 +173,7 @@ void OrionScheduler::search(const platform::QueueView& view, AppPlan& plan) {
       latency += e->latency_ms;
       cost += e->per_job_cost;
     }
-    return std::make_pair(latency * options_.p95_factor, cost);
+    return std::make_pair(latency * kP95Factor, cost);
   };
 
   // An open-list entry holds only the priority and the state: P95 and cost
@@ -259,7 +262,7 @@ void OrionScheduler::search(const platform::QueueView& view, AppPlan& plan) {
   plan.needs_refresh = false;
   plan.search_expansions = expanded;
   plan.search_overhead_ms =
-      options_.charge_search_time ? options_.overhead.overhead_ms(expanded) : 0.0;
+      options_.charge_search_time ? kOverhead.overhead_ms(expanded) : 0.0;
   total_expansions_ += expanded;
 }
 

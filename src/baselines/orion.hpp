@@ -27,11 +27,11 @@ class OrionScheduler : public platform::Scheduler {
     /// Whether the search latency is charged to the dispatched tasks
     /// (the "search time counted" curve of Figure 9).
     bool charge_search_time = true;
-    /// Multiplier turning an expected latency into a predicted P95 (the
-    /// paper's search goal) under the platform's Gaussian noise.
-    double p95_factor = 1.12;
-    core::OverheadModel overhead;
   };
+
+  /// Multiplier turning an expected latency into a predicted P95 (the
+  /// paper's search goal) under the platform's Gaussian noise.
+  static constexpr double kP95Factor = 1.12;
 
   /// Throws std::invalid_argument for an app of more than 5 stages, or with
   /// a stage whose profile has 16 or more values on one configuration axis:

@@ -96,9 +96,6 @@ class Cluster {
     return count_state(NodeState::kRetired);
   }
 
-  [[nodiscard]] const DataTransferModel& transfer_model() const { return transfer_; }
-  void set_transfer_model(const DataTransferModel& m) { transfer_ = m; }
-
   /// Installs the keep-alive tracing observer on every invoker.
   void set_warm_span_callback(WarmSpanCallback callback) {
     for (auto& inv : invokers_) inv.set_warm_span_callback(callback);
@@ -113,7 +110,6 @@ class Cluster {
   void attach_index();
 
   std::vector<Invoker> invokers_;
-  DataTransferModel transfer_;
   // Heap allocation keeps invoker back-pointers stable across cluster moves.
   // std::unique_ptr does not propagate const, so the lazy candidate cleanup
   // works from const queries.

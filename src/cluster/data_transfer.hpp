@@ -22,4 +22,8 @@ struct DataTransferModel {
   }
 };
 
+/// The platform's data-passing model: the controller stages task inputs
+/// with it, and ESG reserves budget for that staging with the same model.
+inline constexpr DataTransferModel kDataTransfer{};
+
 }  // namespace esg::cluster

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "cluster/data_transfer.hpp"
 #include "common/check.hpp"
 
 namespace esg::core {
@@ -12,6 +13,14 @@ namespace {
 /// Floor for the remaining budget so a late request still gets a sane
 /// (fastest-path) search instead of a degenerate zero target.
 constexpr TimeMs kMinBudgetMs = 1.0;
+
+/// Scheduling latency charged for a search (deterministic model).
+constexpr OverheadModel kOverhead{};
+
+/// Headroom reserved for execution-time variation: the search targets
+/// (1 - kNoiseMargin) of the distributed budget so that a noisy run still
+/// lands under the SLO.
+constexpr double kNoiseMargin = 0.08;
 
 }  // namespace
 
@@ -58,10 +67,11 @@ platform::PlanResult EsgScheduler::plan(const platform::QueueView& view) {
   for (workload::NodeIndex s : stages_idx) {
     group_share += dist.node_fraction(s);
     const auto& spec = profiles_.table(view.dag->node(s).function).spec();
-    // Entry stage fetches from the ingress store; later stages should hit
-    // the local file system under ESG_Dispatch's locality policy.
-    transfer_est +=
-        options_.transfer.transfer_ms(spec.input_mb, s != view.dag->entry());
+    // Budget for input staging, with the model the controller stages by:
+    // the entry stage fetches from the ingress store; later stages should
+    // hit the local file system under ESG_Dispatch's locality policy.
+    transfer_est += cluster::kDataTransfer.transfer_ms(spec.input_mb,
+                                                       s != view.dag->entry());
   }
   const double remaining_share = dist.remaining_fraction(view.stage);
   check(remaining_share > 0.0, "plan: zero remaining share");
@@ -76,7 +86,7 @@ platform::PlanResult EsgScheduler::plan(const platform::QueueView& view) {
     pressure = pit->second;
     pit->second *= 0.5;
   }
-  const double margin = std::min(0.5, options_.noise_margin * (1.0 + pressure));
+  const double margin = std::min(0.5, kNoiseMargin * (1.0 + pressure));
   const TimeMs margined_target = raw_target * (1.0 - margin);
 
   // Three regimes: optimise with full safety margin when it is affordable;
@@ -135,7 +145,7 @@ platform::PlanResult EsgScheduler::plan(const platform::QueueView& view) {
     }
     if (defer_ok) {
       plan.defer = true;
-      plan.overhead_ms = options_.overhead.overhead_ms(nodes);
+      plan.overhead_ms = kOverhead.overhead_ms(nodes);
       return plan;
     }
   }
@@ -182,7 +192,7 @@ platform::PlanResult EsgScheduler::plan(const platform::QueueView& view) {
       plan.candidates.push_back(e.config);
       if (plan.candidates.size() >= options_.k) break;
     }
-    plan.overhead_ms = options_.overhead.overhead_ms(nodes);
+    plan.overhead_ms = kOverhead.overhead_ms(nodes);
     return plan;
   }
 
@@ -207,7 +217,7 @@ platform::PlanResult EsgScheduler::plan(const platform::QueueView& view) {
       plan.candidates.push_back(c);
     }
   }
-  plan.overhead_ms = options_.overhead.overhead_ms(nodes);
+  plan.overhead_ms = kOverhead.overhead_ms(nodes);
   return plan;
 }
 

@@ -29,15 +29,6 @@ class EsgScheduler : public platform::Scheduler {
   struct Options {
     std::size_t k = 5;              ///< configPQ length (Section 5.4 default)
     std::size_t max_group_size = 3; ///< function-group cap (Section 5.4 default)
-    OverheadModel overhead;
-    /// Data-passing model used to reserve budget for input staging (entry
-    /// stages fetch remotely; later stages are expected to be local thanks
-    /// to ESG_Dispatch).
-    cluster::DataTransferModel transfer;
-    /// Headroom reserved for execution-time variation: the search targets
-    /// (1 - noise_margin) of the distributed budget so that a noisy run
-    /// still lands under the SLO.
-    double noise_margin = 0.08;
   };
 
   /// `apps` and `profiles` must outlive the scheduler. The SLO distribution

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "cluster/data_transfer.hpp"
 #include "common/check.hpp"
 #include "perf/layer_clock.hpp"
 #include "profile/perf_model.hpp"
@@ -777,7 +778,7 @@ void Controller::dispatch(AfwQueue& queue, const profile::Config& config,
       metrics_.job_wait_ms.push_back(sim_.now() - job.enqueue_ms);
     }
     transfer = std::max(
-        transfer, cluster_.transfer_model().transfer_ms(spec.input_mb, local));
+        transfer, cluster::kDataTransfer.transfer_ms(spec.input_mb, local));
   }
   task.transfer_ms = transfer;
 

@@ -83,7 +83,7 @@ TEST(Orion, SearchGoalRespectsSlo) {
       f.profiles.table(view.function).at(plan.candidates.front()).latency_ms +
       f.profiles.table(later1.function).at(p1.candidates.front()).latency_ms +
       f.profiles.table(later2.function).at(p2.candidates.front()).latency_ms;
-  EXPECT_LE(total * opts.p95_factor, view.slo_ms + 1e-9);
+  EXPECT_LE(total * OrionScheduler::kP95Factor, view.slo_ms + 1e-9);
 }
 
 TEST(Orion, CutOffStillReturnsAPlan) {
