@@ -2,30 +2,37 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <utility>
 
 #include "common/build_info.hpp"
+#include "common/spec_lex.hpp"
 #include "exp/run_all.hpp"
 
 namespace esg::bench {
 
-TimeMs horizon_ms() {
-  if (const char* env = std::getenv("ESG_BENCH_HORIZON_MS")) {
-    const double v = std::atof(env);
-    if (v > 0.0) return v;
+std::uint64_t env_integer(const char* name, std::uint64_t lo, std::uint64_t hi,
+                          std::uint64_t fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  try {
+    return lex::Field{name, env}.integer(lo, hi);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
   }
-  return 60'000.0;
+}
+
+TimeMs horizon_ms() {
+  return static_cast<TimeMs>(
+      env_integer("ESG_BENCH_HORIZON_MS", 1, lex::kMaxId, 60'000));
 }
 
 std::vector<std::uint64_t> seeds() {
-  std::size_t n = 1;
-  if (const char* env = std::getenv("ESG_BENCH_SEEDS")) {
-    const long v = std::atol(env);
-    if (v > 0) n = static_cast<std::size_t>(v);
-  }
+  const std::uint64_t n = env_integer("ESG_BENCH_SEEDS", 1, lex::kMaxId, 1);
   std::vector<std::uint64_t> out;
   out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(42 + i);
+  for (std::uint64_t i = 0; i < n; ++i) out.push_back(42 + i);
   return out;
 }
 

@@ -1,10 +1,11 @@
 // Shared helpers for the per-figure/table bench binaries.
 //
-// Environment knobs (all optional):
-//   ESG_BENCH_HORIZON_MS — arrival-window length per run (default 10000)
+// Environment knobs (all optional; a bad value exits 2, see env_integer):
+//   ESG_BENCH_HORIZON_MS — arrival-window length per run (default 60000)
 //   ESG_BENCH_SEEDS      — replicas per scenario (default 1)
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -14,7 +15,15 @@
 
 namespace esg::bench {
 
-/// Arrival horizon from the environment (default 10 s of simulated traffic).
+/// The environment variable `name` as an integer in [lo, hi], or `fallback`
+/// when it is unset. Any other value prints "<name> must be an integer in
+/// [lo, hi], got '<value>'" to stderr and exits 2. Every bench knob that
+/// takes a number reads through here.
+[[nodiscard]] std::uint64_t env_integer(const char* name, std::uint64_t lo,
+                                        std::uint64_t hi,
+                                        std::uint64_t fallback);
+
+/// Arrival horizon from the environment (default 60 s of simulated traffic).
 [[nodiscard]] TimeMs horizon_ms();
 
 /// Replica seeds from the environment (default {42}).

@@ -9,7 +9,8 @@
 // `esg_sim --sweep`. argv[1] (when not a flag) overrides the output path,
 // default BENCH_core.json.
 //
-// Environment knobs:
+// Environment knobs (the numeric ones are integers read through
+// bench::env_integer, so a bad value exits 2):
 //   ESG_BENCH_CORE_HORIZON_MS — arrival-window length per run (default
 //     2000; deliberately shorter than ESG_BENCH_HORIZON_MS because the
 //     rate-scale-100 rows replay ~100x the paper's arrival rate — over a
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/spec_lex.hpp"
 #include "common/table.hpp"
 #include "exp/run_all.hpp"
 #include "trace/azure_shape.hpp"
@@ -42,30 +44,6 @@ using namespace esg;
 
 constexpr double kRateScales[] = {1.0, 10.0, 100.0};
 constexpr std::uint64_t kSeed = 42;
-
-double core_horizon_ms() {
-  if (const char* env = std::getenv("ESG_BENCH_CORE_HORIZON_MS")) {
-    const double v = std::atof(env);
-    if (v > 0.0) return v;
-  }
-  return 2'000.0;
-}
-
-double core_budget_ms() {
-  if (const char* env = std::getenv("ESG_BENCH_CORE_BUDGET_MS")) {
-    const double v = std::atof(env);
-    if (v > 0.0) return v;
-  }
-  return 0.0;
-}
-
-unsigned core_jobs() {
-  if (const char* env = std::getenv("ESG_BENCH_CORE_JOBS")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<unsigned>(v);
-  }
-  return 1;
-}
 
 sim::EngineKind core_engine() {
   if (const char* env = std::getenv("ESG_BENCH_CORE_ENGINE")) {
@@ -93,8 +71,12 @@ int main(int argc, char** argv) {
   if (argc > 1 && argv[1][0] != '-') out_path = argv[1];
 
   const auto kinds = six_schedulers();
-  const double horizon_ms = core_horizon_ms();
-  const double budget_ms = core_budget_ms();
+  const auto horizon_ms = static_cast<double>(
+      bench::env_integer("ESG_BENCH_CORE_HORIZON_MS", 1, lex::kMaxId, 2'000));
+  const auto budget_ms = static_cast<double>(
+      bench::env_integer("ESG_BENCH_CORE_BUDGET_MS", 0, lex::kMaxId, 0));
+  const auto jobs = static_cast<unsigned>(
+      bench::env_integer("ESG_BENCH_CORE_JOBS", 1, lex::kMaxId, 1));
   const sim::EngineKind engine = core_engine();
 
   // One diurnal cycle + bursts across the horizon; mean rate matches the
@@ -141,7 +123,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::vector<exp::RunResult> results = exp::run_all(cells, core_jobs());
+  const std::vector<exp::RunResult> results = exp::run_all(cells, jobs);
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (results[i].error) {
       std::fprintf(stderr, "cell core/%s/x%d failed: %s\n",
