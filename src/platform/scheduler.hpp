@@ -144,11 +144,15 @@ class Scheduler {
   return waited_ms < 0.5 * slack_ms;
 }
 
+/// The test every placement step applies: ctx.config fits invoker `id`, and
+/// `id` is not the invoker a retried job must avoid (ctx.excluded_invoker).
+[[nodiscard]] bool fits(const PlacementContext& ctx,
+                        const cluster::Cluster& cluster, InvokerId id);
+
 /// The one warm-reuse step (DESIGN.md §4b): a fitting invoker that holds a
 /// warm container for ctx.function — with `local`, the predecessor's and
 /// then the home invoker first — else the lowest-id fitting warm invoker
-/// (Cluster::find_warm). "Fitting" means ctx.config fits and the invoker is
-/// not ctx.excluded_invoker. std::nullopt when no warm container fits.
+/// (Cluster::find_warm). std::nullopt when no warm container fits.
 [[nodiscard]] std::optional<InvokerId> warm_place(
     const PlacementContext& ctx, const cluster::Cluster& cluster, bool local);
 

@@ -5,13 +5,6 @@ namespace esg::tenant {
 std::optional<InvokerId> MqfqStickyScheduler::place(
     const platform::PlacementContext& ctx, const cluster::Cluster& cluster) {
   const std::uint32_t t = ctx.tenant;
-  const auto fits = [&](InvokerId id) {
-    if (ctx.excluded_invoker.valid() && id == ctx.excluded_invoker) {
-      return false;
-    }
-    return cluster.invoker(id).can_fit(ctx.config.vcpus, ctx.config.vgpus);
-  };
-
   // 1. The slice member with the most free resources, scanned from the
   //    slice's deterministic anchor.
   const std::size_t n = cluster.size();
@@ -20,7 +13,9 @@ std::optional<InvokerId> MqfqStickyScheduler::place(
   int best_score = -1;
   for (std::size_t step = 0; step < n; ++step) {
     const InvokerId id(static_cast<std::uint32_t>((start + step) % n));
-    if (!fair_queue_->sticky(t, id) || !fits(id)) continue;
+    if (!fair_queue_->sticky(t, id) || !platform::fits(ctx, cluster, id)) {
+      continue;
+    }
     const auto& inv = cluster.invoker(id);
     const int score = inv.free_vgpus() * 64 + inv.free_vcpus();
     if (score > best_score) {
