@@ -29,7 +29,8 @@ TimeMs horizon_ms() {
 }
 
 std::vector<std::uint64_t> seeds() {
-  const std::uint64_t n = env_integer("ESG_BENCH_SEEDS", 1, lex::kMaxId, 1);
+  // Capped well below what `out` could reserve: a replica is a whole run.
+  const std::uint64_t n = env_integer("ESG_BENCH_SEEDS", 1, 1'000, 1);
   std::vector<std::uint64_t> out;
   out.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(42 + i);

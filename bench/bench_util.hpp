@@ -2,7 +2,7 @@
 //
 // Environment knobs (all optional; a bad value exits 2, see env_integer):
 //   ESG_BENCH_HORIZON_MS — arrival-window length per run (default 60000)
-//   ESG_BENCH_SEEDS      — replicas per scenario (default 1)
+//   ESG_BENCH_SEEDS      — replicas per scenario (default 1, at most 1000)
 #pragma once
 
 #include <cstdint>
