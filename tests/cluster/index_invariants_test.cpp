@@ -198,6 +198,9 @@ struct LoggedCluster {
         [this](InvokerId i, FunctionId f, TimeMs since, TimeMs end,
                WarmEnd reason) { log.push_back({i, f, since, end, reason}); });
   }
+  // The callback holds `this`.
+  LoggedCluster(const LoggedCluster&) = delete;
+  LoggedCluster& operator=(const LoggedCluster&) = delete;
 };
 
 // find_warm against the walk it replaces: every invoker in id order,
