@@ -1,5 +1,6 @@
 #include "cluster/cluster.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/check.hpp"
@@ -42,12 +43,29 @@ void Cluster::attach_index() {
 const std::set<InvokerId>& Cluster::warm_candidates(FunctionId function) const {
   static const std::set<InvokerId> kEmpty;
   const auto it = index_->warm.find(function);
-  return it == index_->warm.end() ? kEmpty : it->second;
+  return it == index_->warm.end() ? kEmpty : it->second.candidates;
 }
 
 std::size_t Cluster::warm_count(FunctionId function, TimeMs now) const {
+  const auto it = index_->warm.find(function);
+  if (it == index_->warm.end()) return 0;  // never parked anywhere
+  FunctionWarmState& fleet = it->second;
+  // Nothing parked expires before the bound, so asking every invoker could
+  // prune (and trace) nothing and would sum to the tally.
+  if (fleet.soonest > now) return fleet.parked;
   std::size_t warm = 0;
-  for (const auto& inv : invokers_) warm += inv.warm_count(function, now);
+  TimeMs soonest = kNoTime;
+  for (const auto& inv : invokers_) {
+    warm += inv.warm_count(function, now);
+    const auto pool = inv.parked_warm().find(function);
+    if (pool == inv.parked_warm().end()) continue;
+    for (const auto& entry : pool->second) {
+      soonest = std::min(soonest, entry.expiry);
+    }
+  }
+  check(warm == fleet.parked,
+        "ClusterStateIndex: warm tally diverged from the fleet walk");
+  fleet.soonest = soonest;
   return warm;
 }
 
@@ -64,15 +82,32 @@ void Cluster::check_index_invariants(TimeMs now) const {
         "ClusterStateIndex: free_vcpus diverged from the fleet scan");
   check(scan_vgpus == index_->free_vgpus,
         "ClusterStateIndex: free_vgpus diverged from the fleet scan");
-  // Superset property: any node holding an unexpired warm container must be
-  // a candidate for that function. (Warm queries prune lazily, so this scan
-  // may shrink warm pools — the same observation a controller query makes.)
+  // Parked entries are read without pruning, so the scans below observe
+  // (and trace) no expiry a run's own queries would not.
   for (const auto& inv : invokers_) {
-    for (FunctionId fn : inv.warm_functions(now)) {
+    for (const auto& [fn, entries] : inv.parked_warm()) {
       const auto it = index_->warm.find(fn);
-      check(it != index_->warm.end() && it->second.count(inv.id()) == 1,
-            "ClusterStateIndex: warm invoker missing from candidate set");
+      check(it != index_->warm.end(),
+            "ClusterStateIndex: parked function missing from the index");
+      const FunctionWarmState& fleet = it->second;
+      for (const auto& entry : entries) {
+        check(fleet.soonest <= entry.expiry,
+              "ClusterStateIndex: soonest-expiry bound above a parked entry");
+        // Superset property: a node holding an unexpired warm container
+        // must be a candidate for that function.
+        check(entry.expiry <= now || fleet.candidates.count(inv.id()) == 1,
+              "ClusterStateIndex: warm invoker missing from candidate set");
+      }
     }
+  }
+  for (const auto& [fn, fleet] : index_->warm) {
+    std::size_t parked = 0;
+    for (const auto& inv : invokers_) {
+      const auto pool = inv.parked_warm().find(fn);
+      if (pool != inv.parked_warm().end()) parked += pool->second.size();
+    }
+    check(fleet.parked == parked,
+          "ClusterStateIndex: warm tally diverged from the parked entries");
   }
 }
 

@@ -72,13 +72,19 @@ class Cluster {
                                                    Accept accept) const;
 
   /// Unexpired warm containers of `function` across the fleet at `now`.
+  /// Answers from the index's tally while its soonest-expiry bound is after
+  /// `now`; otherwise asks every invoker in id order, which prunes and
+  /// traces expiries as a whole-fleet count does, and re-tightens the bound.
   [[nodiscard]] std::size_t warm_count(FunctionId function, TimeMs now) const;
 
-  /// Cross-validates the incremental index against a full fleet scan:
-  /// every invoker holding an unexpired warm container must appear in its
-  /// function's candidate set, and the free-resource sums must match the
-  /// O(n) recomputation. Throws via check() on violation (test hook for the
-  /// crash/reclaim/drain/retire transitions).
+  /// Cross-validates the incremental index against a full fleet scan. Per
+  /// function, the tally must equal the fleet's parked warm entries and its
+  /// bound must not exceed any of their expiries; every invoker holding an
+  /// entry unexpired at `now` must be in the candidate set; the free-resource
+  /// sums must match the O(n) recomputation. Read-only: it neither prunes
+  /// nor traces, so calling it changes nothing a run records. Throws via
+  /// check() on violation (test hook for the crash/reclaim/drain/retire
+  /// transitions).
   void check_index_invariants(TimeMs now) const;
 
   /// Fleet-size census by lifecycle state (for stats and elastic policies).
@@ -112,7 +118,7 @@ class Cluster {
   std::vector<Invoker> invokers_;
   // Heap allocation keeps invoker back-pointers stable across cluster moves.
   // std::unique_ptr does not propagate const, so the lazy candidate cleanup
-  // works from const queries.
+  // and the warm tally's bound refresh work from const queries.
   std::unique_ptr<ClusterStateIndex> index_;
 };
 
@@ -121,7 +127,7 @@ std::optional<InvokerId> Cluster::find_warm(FunctionId function, TimeMs now,
                                             Accept accept) const {
   const auto it = index_->warm.find(function);
   if (it == index_->warm.end()) return std::nullopt;
-  std::set<InvokerId>& candidates = it->second;
+  std::set<InvokerId>& candidates = it->second.candidates;
   for (auto cit = candidates.begin(); cit != candidates.end();) {
     const InvokerId id = *cit;
     if (!invokers_[id.get()].has_warm(function, now)) {

@@ -47,9 +47,10 @@ void Invoker::release_warm_pool(TimeMs now, WarmEnd reason) {
     }
   }
   if (index_ != nullptr) {
-    for (const auto& [fn, _] : warm_) {
-      auto it = index_->warm.find(fn);
-      if (it != index_->warm.end()) it->second.erase(id_);
+    for (const auto& [fn, entries] : warm_) {
+      FunctionWarmState& fleet = index_->warm[fn];
+      fleet.candidates.erase(id_);
+      fleet.parked -= entries.size();
     }
   }
   warm_.clear();
@@ -67,7 +68,11 @@ Invoker::WarmPool::iterator Invoker::prune_expired(FunctionId function,
       }
     }
   }
-  std::erase_if(entries, [now](const WarmEntry& e) { return e.expiry <= now; });
+  const std::size_t expired = std::erase_if(
+      entries, [now](const WarmEntry& e) { return e.expiry <= now; });
+  if (expired > 0 && index_ != nullptr) {
+    index_->warm[function].parked -= expired;
+  }
   if (!entries.empty()) return it;
   warm_.erase(it);
   return warm_.end();
@@ -90,6 +95,9 @@ bool Invoker::acquire_warm(FunctionId function, TimeMs now) {
   }
   entries.erase(soonest);
   if (entries.empty()) warm_.erase(it);
+  // The index's soonest-expiry bound stays where it is: it is a lower bound,
+  // and a stale one only sends the next Cluster::warm_count down its walk.
+  if (index_ != nullptr) --index_->warm[function].parked;
   return true;
 }
 
@@ -102,8 +110,14 @@ void Invoker::add_warm(FunctionId function, TimeMs now, TimeMs keep_alive) {
       state_ == NodeState::kRetired) {
     return;
   }
-  warm_[function].push_back(WarmEntry{now + keep_alive, now});
-  if (index_ != nullptr) index_->warm[function].insert(id_);
+  const TimeMs expiry = now + keep_alive;
+  warm_[function].push_back(WarmEntry{expiry, now});
+  if (index_ != nullptr) {
+    FunctionWarmState& fleet = index_->warm[function];
+    fleet.candidates.insert(id_);
+    ++fleet.parked;
+    fleet.soonest = std::min(fleet.soonest, expiry);
+  }
 }
 
 void Invoker::crash(TimeMs now) {
@@ -163,16 +177,6 @@ void Invoker::flush_warm_spans(TimeMs now) const {
       warm_callback_(id_, fn, e.since, now, WarmEnd::kOpen);
     }
   }
-}
-
-std::vector<FunctionId> Invoker::warm_functions(TimeMs now) const {
-  std::vector<FunctionId> functions;
-  functions.reserve(warm_.size());
-  for (const auto& [fn, _] : warm_) functions.push_back(fn);
-  std::sort(functions.begin(), functions.end());
-  std::erase_if(functions,
-                [&](FunctionId fn) { return warm_count(fn, now) == 0; });
-  return functions;
 }
 
 std::size_t Invoker::total_warm(TimeMs now) const {

@@ -55,6 +55,12 @@ using WarmSpanCallback = std::function<void(InvokerId, FunctionId, TimeMs,
 
 class Invoker {
  public:
+  struct WarmEntry {
+    TimeMs expiry = 0.0;  ///< when the keep-alive window runs out
+    TimeMs since = 0.0;   ///< when the container was parked
+  };
+  using WarmPool = std::unordered_map<FunctionId, std::vector<WarmEntry>>;
+
   Invoker(InvokerId id, NodeCapacity capacity)
       : id_(id), capacity_(capacity) {}
 
@@ -136,9 +142,10 @@ class Invoker {
   /// Total unexpired warm containers across functions (for reporting).
   [[nodiscard]] std::size_t total_warm(TimeMs now) const;
 
-  /// Functions with at least one unexpired warm container at `now`, sorted
-  /// (for the index invariant checker; prunes lazily like any warm query).
-  [[nodiscard]] std::vector<FunctionId> warm_functions(TimeMs now) const;
+  /// Every parked warm container by function, expired ones not yet pruned
+  /// included, in no particular order. Unlike the queries above it neither
+  /// prunes nor traces (for the cluster's tally and its cross-check).
+  [[nodiscard]] const WarmPool& parked_warm() const { return warm_; }
 
   /// Installs the keep-alive tracing observer (empty = disabled).
   void set_warm_span_callback(WarmSpanCallback callback) {
@@ -154,12 +161,6 @@ class Invoker {
   void attach_index(ClusterStateIndex* index) { index_ = index; }
 
  private:
-  struct WarmEntry {
-    TimeMs expiry = 0.0;  ///< when the keep-alive window runs out
-    TimeMs since = 0.0;   ///< when the container was parked
-  };
-  using WarmPool = std::unordered_map<FunctionId, std::vector<WarmEntry>>;
-
   InvokerId id_;
   NodeCapacity capacity_;
   std::uint16_t used_vcpus_ = 0;
@@ -172,12 +173,14 @@ class Invoker {
   WarmSpanCallback warm_callback_;
   ClusterStateIndex* index_ = nullptr;  // owned by Cluster; null when detached
 
-  /// Drops `function`'s containers expired at `now`; returns its pool entry,
-  /// or warm_.end() when none is left (one lookup for the caller's query).
+  /// Drops `function`'s containers expired at `now` (and from the index's
+  /// tally); returns its pool entry, or warm_.end() when none is left (one
+  /// lookup for the caller's query).
   WarmPool::iterator prune_expired(FunctionId function, TimeMs now) const;
   /// Empties the warm pool, reporting each container as ending for
-  /// `reason` (as expired if its window had already run out) and erasing
-  /// this node from the index's candidate sets. Shared by crash and retire.
+  /// `reason` (as expired if its window had already run out) and taking
+  /// this node out of the index's candidate sets and tallies. Shared by
+  /// crash and retire.
   void release_warm_pool(TimeMs now, WarmEnd reason);
 };
 

@@ -3,7 +3,9 @@
 // state and the free-resource running sums must match a full fleet scan,
 // across every lifecycle transition — allocate/release, warm add/acquire/
 // lazy expiry, crash/rejoin, drain/retire, and elastic begin_warming/
-// activate. check_index_invariants() is the cross-validating scan.
+// activate — and warm_count's per-function tally must answer what a walk
+// over every invoker answers. check_index_invariants() is the
+// cross-validating scan.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -203,6 +205,33 @@ struct LoggedCluster {
   LoggedCluster& operator=(const LoggedCluster&) = delete;
 };
 
+/// One random churn step on `node`, chosen by `op` in [0, 1): park a warm
+/// container, acquire one, crash or rejoin, retire or bring back, or (the
+/// last tenth) nothing.
+void churn(Invoker& node, FunctionId f, double op, TimeMs now,
+           TimeMs keep_alive) {
+  if (op < 0.45) {
+    node.add_warm(f, now, keep_alive);
+  } else if (op < 0.7) {
+    (void)node.acquire_warm(f, now);
+  } else if (op < 0.8) {
+    if (node.alive()) {
+      node.crash(now);
+    } else {
+      node.rejoin();
+    }
+  } else if (op < 0.9) {
+    if (node.state() == NodeState::kActive) {
+      node.begin_drain();
+      node.retire(now);
+    } else if (node.state() == NodeState::kRetired) {
+      node.begin_warming();
+    } else if (node.state() == NodeState::kWarming) {
+      node.activate();
+    }
+  }
+}
+
 // find_warm against the walk it replaces: every invoker in id order,
 // has_warm before accept. Two twin clusters take the same random adds,
 // acquires, expiries, crashes and retirements; after each step both answer
@@ -226,27 +255,7 @@ TEST(ClusterIndex, FindWarmMatchesAFleetWalkUnderChurn) {
       const double op = rng.uniform();
       const TimeMs keep_alive = rng.uniform(10.0, 200.0);
       for (LoggedCluster* twin : {&indexed, &walked}) {
-        Invoker& node = twin->cluster.invoker(id);
-        if (op < 0.45) {
-          node.add_warm(f, now, keep_alive);
-        } else if (op < 0.7) {
-          (void)node.acquire_warm(f, now);
-        } else if (op < 0.8) {
-          if (node.alive()) {
-            node.crash(now);
-          } else {
-            node.rejoin();
-          }
-        } else if (op < 0.9) {
-          if (node.state() == NodeState::kActive) {
-            node.begin_drain();
-            node.retire(now);
-          } else if (node.state() == NodeState::kRetired) {
-            node.begin_warming();
-          } else if (node.state() == NodeState::kWarming) {
-            node.activate();
-          }
-        }
+        churn(twin->cluster.invoker(id), f, op, now, keep_alive);
       }
       now += rng.uniform(0.0, 40.0);
 
@@ -269,6 +278,94 @@ TEST(ClusterIndex, FindWarmMatchesAFleetWalkUnderChurn) {
       walked.cluster.check_index_invariants(now);
     }
   }
+}
+
+// warm_count against the walk its tally short-cuts: the sum of every
+// invoker's count in id order. The twins take the same random churn as
+// above, at whole-millisecond times, so that queries also land exactly on
+// an expiry; after each step the indexed twin's warm_count must equal the
+// walked twin's sum, with equal keep-alive span logs.
+TEST(ClusterIndex, WarmCountMatchesAFleetWalkUnderChurn) {
+  constexpr std::uint32_t kNodes = 6;
+  constexpr std::uint32_t kFunctions = 4;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    RngStream rng = RngFactory(seed).stream("warm-count");
+    const auto pick = [&rng](std::uint32_t n) {
+      return static_cast<std::uint32_t>(rng.below(n));
+    };
+    LoggedCluster indexed(kNodes);
+    LoggedCluster walked(kNodes);
+    TimeMs now = 0.0;
+    for (int step = 0; step < 400; ++step) {
+      const InvokerId id = inv(pick(kNodes));
+      const FunctionId f = fn(pick(kFunctions));
+      const double op = rng.uniform();
+      const TimeMs keep_alive = 10.0 + pick(190);
+      for (LoggedCluster* twin : {&indexed, &walked}) {
+        churn(twin->cluster.invoker(id), f, op, now, keep_alive);
+      }
+      now += pick(40);
+
+      const FunctionId query = fn(pick(kFunctions));
+      std::size_t expected = 0;
+      for (const Invoker& node : walked.cluster.invokers()) {
+        expected += node.warm_count(query, now);
+      }
+      ASSERT_EQ(indexed.cluster.warm_count(query, now), expected)
+          << "step " << step;
+      ASSERT_EQ(indexed.log, walked.log) << "step " << step;
+      indexed.cluster.check_index_invariants(now);
+      walked.cluster.check_index_invariants(now);
+    }
+  }
+}
+
+TEST(ClusterIndex, WarmCountAtTheExactExpiryCountsNothing) {
+  LoggedCluster logged(3);
+  logged.cluster.invoker(inv(1)).add_warm(fn(2), 100.0, /*keep_alive=*/50.0);
+  EXPECT_EQ(logged.cluster.warm_count(fn(2), 149.0), 1u);
+  EXPECT_TRUE(logged.log.empty());
+  // Like prune_expired, an entry whose expiry equals `now` has expired.
+  EXPECT_EQ(logged.cluster.warm_count(fn(2), 150.0), 0u);
+  EXPECT_EQ(logged.log, (std::vector<WarmSpan>{
+                            {inv(1), fn(2), 100.0, 150.0, WarmEnd::kExpired}}));
+  logged.cluster.check_index_invariants(150.0);
+}
+
+TEST(ClusterIndex, WarmCountStaysExactPastAStaleBound) {
+  LoggedCluster logged(3);
+  Cluster& cluster = logged.cluster;
+  cluster.invoker(inv(0)).add_warm(fn(1), 0.0, 100.0);   // expires at 100
+  cluster.invoker(inv(1)).add_warm(fn(1), 0.0, 300.0);   // at 300
+  cluster.invoker(inv(2)).add_warm(fn(1), 10.0, 500.0);  // at 510
+  // The acquisition takes the entry expiring at 100 but leaves the bound
+  // there, so the count at 200 walks the fleet and re-tightens it to 300.
+  EXPECT_TRUE(cluster.invoker(inv(0)).acquire_warm(fn(1), 20.0));
+  cluster.check_index_invariants(20.0);
+  EXPECT_EQ(cluster.warm_count(fn(1), 200.0), 2u);
+  EXPECT_EQ(cluster.warm_count(fn(1), 300.0), 1u);
+  EXPECT_EQ(cluster.warm_count(fn(1), 509.0), 1u);
+  EXPECT_EQ(cluster.warm_count(fn(1), 510.0), 0u);
+  EXPECT_EQ(logged.log,
+            (std::vector<WarmSpan>{
+                {inv(0), fn(1), 0.0, 20.0, WarmEnd::kAcquired},
+                {inv(1), fn(1), 0.0, 300.0, WarmEnd::kExpired},
+                {inv(2), fn(1), 10.0, 510.0, WarmEnd::kExpired}}));
+  cluster.check_index_invariants(510.0);
+}
+
+TEST(ClusterIndex, InvariantCheckPrunesAndTracesNothing) {
+  LoggedCluster logged(2);
+  logged.cluster.invoker(inv(0)).add_warm(fn(1), 0.0, 100.0);
+  logged.cluster.invoker(inv(1)).add_warm(fn(1), 0.0, 300.0);
+  logged.cluster.check_index_invariants(200.0);
+  EXPECT_TRUE(logged.log.empty());
+  // The expired entry is still parked, so a query observes it now.
+  EXPECT_EQ(logged.cluster.invoker(inv(0)).parked_warm().size(), 1u);
+  EXPECT_EQ(logged.cluster.warm_count(fn(1), 200.0), 1u);
+  EXPECT_EQ(logged.log, (std::vector<WarmSpan>{
+                            {inv(0), fn(1), 0.0, 100.0, WarmEnd::kExpired}}));
 }
 
 TEST(ClusterIndex, MovedClusterKeepsWorkingIndex) {

@@ -53,6 +53,27 @@ TEST(PrewarmManager, SkipsWhenContainerAlreadyWarm) {
   EXPECT_TRUE(w.cluster.invoker(InvokerId(0)).has_warm(kFn, 5'001.0));
 }
 
+TEST(PrewarmManager, ExpiredContainerNoLongerCoversDemand) {
+  World w;
+  std::size_t expired = 0;
+  w.cluster.set_warm_span_callback(
+      [&expired](InvokerId, FunctionId, TimeMs, TimeMs, cluster::WarmEnd end) {
+        if (end == cluster::WarmEnd::kExpired) ++expired;
+      });
+  PrewarmManager mgr(w.sim, w.cluster, w.profiles);
+  // Warm until 4000 ms, so the keep-alive window has run out by the second
+  // invocation at 5000 ms: demand (one container) is uncovered again.
+  w.cluster.invoker(InvokerId(0)).add_warm(kFn, 0.0, /*keep_alive=*/4'000.0);
+  mgr.on_invocation(AppId(0), kFn, InvokerId(0), 0.0);
+  w.sim.run_until(5'000.0);
+  mgr.on_invocation(AppId(0), kFn, InvokerId(0), 5'000.0);
+  EXPECT_EQ(expired, 1u);
+  w.sim.run();
+  EXPECT_EQ(mgr.prewarms_issued(), 1u);
+  EXPECT_EQ(mgr.prewarms_skipped(), 0u);
+  EXPECT_TRUE(w.cluster.invoker(InvokerId(0)).has_warm(kFn, 10'001.0));
+}
+
 TEST(PrewarmManager, ShortIntervalFiresImmediately) {
   World w;
   PrewarmManager mgr(w.sim, w.cluster, w.profiles);
