@@ -46,8 +46,7 @@ enum class Policy { kEsg, kInfless, kFastGshare, kMqfqSticky };
 /// One hand-wired run; an empty spec leaves its subsystem out.
 struct Wiring {
   Policy policy = Policy::kEsg;
-  std::size_t nodes = 4;
-  std::size_t initial_nodes = 4;  ///< elastic runs start with this many
+  std::size_t nodes = 4;  ///< an elastic run starts with 4 of them active
   std::string fault;
   std::string elastic;
   std::string tenants;
@@ -114,7 +113,7 @@ Outcome run(const Wiring& wiring, bool checked) {
   if (!wiring.elastic.empty()) {
     manager = std::make_unique<elastic::ElasticManager>(
         sim, cluster, elastic::parse_elastic_spec(wiring.elastic),
-        rng.scoped("elastic"), wiring.initial_nodes);
+        rng.scoped("elastic"), /*initial_nodes=*/4);
     options.elastic = manager.get();
   }
   std::unique_ptr<tenant::FairQueue> fq;
