@@ -5,9 +5,11 @@
 // recorded from the search before its partial paths became index-linked.
 // A change to either pruning blade, the max_paths cut or the tie order of
 // the sorts moves the digest. nodes_expanded is pinned too because the
-// simulator charges scheduling overhead from it.
+// simulator charges scheduling overhead from it. A second digest pins the
+// target interval each answer holds for, which the memo keys its cells by.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +25,7 @@ namespace {
 
 constexpr int kQueries = 3'000;
 constexpr std::uint64_t kGoldenDigest = 0x94749a684077799bull;
+constexpr std::uint64_t kIntervalDigest = 0xa47a6a831a228ac7ull;
 
 using test::Fnv1a;
 
@@ -93,6 +96,32 @@ TEST(SearchGolden, CorpusDigestIsPinned) {
   EXPECT_LT(infeasible, kQueries / 2);
   EXPECT_GT(at_cap, kQueries / 10);
   EXPECT_EQ(digest.value(), kGoldenDigest)
+      << "digest 0x" << std::hex << digest.value();
+}
+
+// The bit patterns of holds_for over the same corpus, recorded from the
+// search that applied both blades one configuration at a time: lo and hi
+// are the tLow values of the last configuration each stage passed and of
+// the first it broke off at, so a search that derives them per partial
+// path must still land on the same doubles.
+TEST(SearchGolden, TargetIntervalDigestIsPinned) {
+  const profile::ProfileSet set = profile::ProfileSet::builtin();
+  RngStream rng = RngFactory(16).stream("search-golden");
+  Fnv1a digest;
+  int bounded = 0;
+  for (int i = 0; i < kQueries; ++i) {
+    const Query q = make_query(rng, set);
+    const SearchResult result = esg_1q(q.stages, q.target_ms, q.options);
+    digest.add_f64(result.holds_for.lo);
+    digest.add_f64(result.holds_for.hi);
+    if (std::isfinite(result.holds_for.lo) && std::isfinite(result.holds_for.hi)) {
+      ++bounded;
+    }
+  }
+  // Most intervals must be closed on both sides, or the digest would pin
+  // mostly infinities.
+  EXPECT_GT(bounded, kQueries / 2);
+  EXPECT_EQ(digest.value(), kIntervalDigest)
       << "digest 0x" << std::hex << digest.value();
 }
 
