@@ -16,6 +16,24 @@
 // holding its totals, the index of its prefix in the previous stage's level
 // and the index of its last configuration; the K result paths are rebuilt
 // from those links at the end, so extending a path copies nothing either.
+//
+// Both blades are tested once per partial path, not once per configuration.
+// tLow never decreases along the latency-sorted list (IEEE addition is
+// monotone), so one scan finds the prefix of configurations that pass it.
+// If minRSC rejects the cheapest of those, it rejects them all, and the
+// path is dropped without visiting any; otherwise each is tested in list
+// order as Algorithm 1 does. A level is extended cheapest path first, but a
+// large one orders only the paths the cost blade leaves: it buckets the
+// paths by the bit pattern of their cost and sorts, bucket by bucket, the
+// ones minRSC still admits. A dropped path changes nothing, so where it
+// would sit in the order does not matter. Two admitted paths with equal
+// costs do: the level is then redone in std::sort's order, whose tie order
+// the golden corpus pins.
+//
+// SearchStats::nodes_expanded stays Algorithm 1's count of configurations
+// examined: every one that passes the time blade, plus the one that breaks
+// the stage off. It is not the number of entries the code visits, and the
+// simulator charges scheduling overhead from it.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +62,7 @@ struct SearchPath {
 };
 
 struct SearchStats {
-  std::size_t nodes_expanded = 0;   ///< configurations examined
+  std::size_t nodes_expanded = 0;   ///< configurations Algorithm 1 examines
   std::size_t pruned_time = 0;      ///< stage break-offs via tLow
   std::size_t pruned_cost = 0;      ///< skips via rscLow
   std::size_t paths_kept = 0;       ///< surviving partial paths (max over stages)

@@ -96,8 +96,9 @@ void SearchMemo::store(Cells& cells, const SearchResult& result) {
   ++cells_;
   for (const SearchPath& path : result.config_pq) {
     for (std::size_t i = 0; i < views_.size(); ++i) {
-      // Every entry of a path was reached by scanning its view from the
-      // front, so finding it again costs no more than the search did.
+      // A linear find: a path's entry lies within the prefix of its view
+      // that passed the time blade, and a miss has just run a search that
+      // scanned that prefix for every partial path it extended.
       const auto view = views_[i].entries;
       const auto at = std::ranges::find(view, path.entries[i].config,
                                         &profile::ProfileEntry::config);
