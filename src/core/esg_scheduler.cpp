@@ -155,43 +155,15 @@ platform::PlanResult EsgScheduler::plan(const platform::QueueView& view) {
   // anyway and starve everyone else's placements. Drain cost-efficiently
   // instead: the cheapest per-job configurations of the current stage.
   if (!unconstrained.met_slo) {
-    const auto& table = profiles_.table(view.function);
-    // Batch cap 8: beyond that the marginal per-job saving is small while
-    // the task latency (which delays every successor stage) keeps growing.
-    const std::size_t cap = std::min<std::size_t>(view.queue_length, 8);
-    std::vector<profile::ProfileEntry> drain;
-    if (cap > 0) {  // an empty queue drains nothing; view(0) is the whole table
-      const auto admissible = table.view(static_cast<std::uint16_t>(cap)).entries;
-      drain.assign(admissible.begin(), admissible.end());
-    }
-    // Two drain flavours. A request that still has end-to-end budget and a
-    // shallow queue (the target was merely unreachable after margins, not a
-    // backlog symptom) races lean — cost x latency keeps it brisk and it
-    // may still land under the SLO. Under backlog, or once the request has
-    // missed anyway, maximise throughput per dollar so it stops taxing
-    // everyone else; those drains also stay CPU-lean (c <= 4), vCPUs being
-    // the cluster's scarcest aggregate resource under backlog.
+    // A request that still has end-to-end budget and a shallow queue (the
+    // target was merely unreachable after margins, not a backlog symptom)
+    // races lean; see drain_candidates for both flavours.
     const bool still_in_budget = view.oldest_elapsed_ms < view.slo_ms &&
                                  view.head_wait_ms < 0.25 * view.slo_ms;
-    if (!still_in_budget) {
-      std::erase_if(drain, [](const profile::ProfileEntry& e) {
-        return e.config.vcpus > 4;
-      });
-    }
-    std::sort(drain.begin(), drain.end(),
-              [still_in_budget](const profile::ProfileEntry& a,
-                                const profile::ProfileEntry& b) {
-                const double pa =
-                    still_in_budget ? a.per_job_cost * a.latency_ms : a.per_job_cost;
-                const double pb =
-                    still_in_budget ? b.per_job_cost * b.latency_ms : b.per_job_cost;
-                if (pa != pb) return pa < pb;
-                return a.latency_ms < b.latency_ms;
-              });
-    for (const auto& e : drain) {
-      plan.candidates.push_back(e.config);
-      if (plan.candidates.size() >= options_.k) break;
-    }
+    // Batch cap 8: beyond that the marginal per-job saving is small while
+    // the task latency (which delays every successor stage) keeps growing.
+    plan.candidates = drain_candidates(
+        view.function, std::min<std::size_t>(view.queue_length, 8), still_in_budget);
     plan.overhead_ms = kOverhead.overhead_ms(nodes);
     return plan;
   }
@@ -219,6 +191,46 @@ platform::PlanResult EsgScheduler::plan(const platform::QueueView& view) {
   }
   plan.overhead_ms = kOverhead.overhead_ms(nodes);
   return plan;
+}
+
+const std::vector<profile::Config>& EsgScheduler::drain_candidates(
+    FunctionId function, std::size_t cap, bool still_in_budget) {
+  const std::uint64_t key = (std::uint64_t{function.get()} << 32) | (cap << 1) |
+                            (still_in_budget ? 1u : 0u);
+  const auto [slot, fresh] = drains_.try_emplace(key);
+  std::vector<profile::Config>& candidates = slot->second;
+  // An empty queue drains nothing; view(0) would be the whole table.
+  if (!fresh || cap == 0) return candidates;
+  const auto admissible =
+      profiles_.table(function).view(static_cast<std::uint16_t>(cap)).entries;
+  std::vector<profile::ProfileEntry> drain(admissible.begin(), admissible.end());
+  // Two drain flavours. In budget, cost x latency keeps the drain brisk and
+  // the request may still land under the SLO. Under backlog, or once the
+  // request has missed anyway, maximise throughput per dollar so it stops
+  // taxing everyone else; those drains also stay CPU-lean (c <= 4), vCPUs
+  // being the cluster's scarcest aggregate resource under backlog.
+  if (!still_in_budget) {
+    std::erase_if(drain, [](const profile::ProfileEntry& e) {
+      return e.config.vcpus > 4;
+    });
+  }
+  // The same input every time, so std::sort orders ties as it did when
+  // every plan() sorted afresh.
+  std::sort(drain.begin(), drain.end(),
+            [still_in_budget](const profile::ProfileEntry& a,
+                              const profile::ProfileEntry& b) {
+              const double pa =
+                  still_in_budget ? a.per_job_cost * a.latency_ms : a.per_job_cost;
+              const double pb =
+                  still_in_budget ? b.per_job_cost * b.latency_ms : b.per_job_cost;
+              if (pa != pb) return pa < pb;
+              return a.latency_ms < b.latency_ms;
+            });
+  for (const auto& e : drain) {
+    candidates.push_back(e.config);
+    if (candidates.size() >= options_.k) break;
+  }
+  return candidates;
 }
 
 std::vector<double> EsgScheduler::planned_stage_fractions(AppId app) const {

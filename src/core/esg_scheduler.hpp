@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -71,6 +72,17 @@ class EsgScheduler : public platform::Scheduler {
   std::unordered_map<AppId, double> retry_pressure_;
   /// Answers both of plan()'s searches, bit-identical to esg_1q.
   SearchMemo memo_;
+  /// drain_candidates' lists, keyed by function, cap and flavour.
+  std::unordered_map<std::uint64_t, std::vector<profile::Config>> drains_;
+
+  /// The drain branch's candidates when no path meets the target: the K
+  /// best-ranked configurations of `function` with batch <= `cap`, ranked
+  /// by cost x latency while the request is `still_in_budget` and by cost
+  /// among the c <= 4 ones otherwise. Built on first use per key; `cap` 0
+  /// gives none.
+  const std::vector<profile::Config>& drain_candidates(FunctionId function,
+                                                       std::size_t cap,
+                                                       bool still_in_budget);
 
   /// The functions of `view`'s group from the current stage onward.
   [[nodiscard]] std::vector<workload::NodeIndex> remaining_group_stages(

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "workload/applications.hpp"
 
 namespace esg::core {
@@ -194,6 +197,77 @@ TEST(EsgScheduler, PlaceReturnsNulloptWhenClusterFull) {
   ctx.config = profile::Config{1, 1, 1};
   ctx.home_invoker = InvokerId(0);
   EXPECT_FALSE(sched.place(ctx, cluster).has_value());
+}
+
+/// The drain branch's candidates as plan() ranked them on every call before
+/// it kept the lists: copy the view capped at min(queue, 8), filter, sort,
+/// take K.
+std::vector<profile::Config> fresh_drain(const profile::ProfileTable& table,
+                                         std::size_t queue_length,
+                                         bool still_in_budget, std::size_t k) {
+  const std::size_t cap = std::min<std::size_t>(queue_length, 8);
+  std::vector<profile::ProfileEntry> drain;
+  if (cap > 0) {
+    const auto admissible = table.view(static_cast<std::uint16_t>(cap)).entries;
+    drain.assign(admissible.begin(), admissible.end());
+  }
+  if (!still_in_budget) {
+    std::erase_if(drain, [](const profile::ProfileEntry& e) {
+      return e.config.vcpus > 4;
+    });
+  }
+  std::sort(drain.begin(), drain.end(),
+            [still_in_budget](const profile::ProfileEntry& a,
+                              const profile::ProfileEntry& b) {
+              const double pa =
+                  still_in_budget ? a.per_job_cost * a.latency_ms : a.per_job_cost;
+              const double pb =
+                  still_in_budget ? b.per_job_cost * b.latency_ms : b.per_job_cost;
+              if (pa != pb) return pa < pb;
+              return a.latency_ms < b.latency_ms;
+            });
+  std::vector<profile::Config> configs;
+  for (const auto& e : drain) {
+    configs.push_back(e.config);
+    if (configs.size() >= k) break;
+  }
+  return configs;
+}
+
+TEST(EsgScheduler, DrainCandidatesMatchAFreshRankingWarmOrCold) {
+  // A request 0.5 ms short of its SLO leaves a 1 ms budget that no path
+  // meets, so plan() drains in the in-budget flavour; one past its SLO
+  // drains in the backlog flavour. Every built-in function is asked at
+  // queue lengths 0-12 in both flavours: by a fresh scheduler per query,
+  // and twice by one scheduler whose second pass reads only kept lists.
+  Fixture f;
+  EsgScheduler warm(f.apps, f.profiles);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t app = 0; app < f.apps.size(); ++app) {
+      for (workload::NodeIndex stage = 0; stage < f.apps[app].size(); ++stage) {
+        for (std::size_t queue = 0; queue <= 12; ++queue) {
+          for (const bool in_budget : {true, false}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "pass " << pass << " app " << app << " stage " << stage
+                         << " queue " << queue << " in budget " << in_budget);
+            auto view = make_view(f, app, stage, queue, workload::SloSetting::kModerate);
+            view.oldest_elapsed_ms = in_budget ? view.slo_ms - 0.5 : 2.0 * view.slo_ms;
+            view.head_wait_ms = in_budget ? 0.0 : view.slo_ms;
+            EsgScheduler cold(f.apps, f.profiles);
+            const auto cold_plan = cold.plan(view);
+            const auto warm_plan = warm.plan(view);
+            const auto expected = fresh_drain(f.profiles.table(view.function), queue,
+                                              in_budget, cold.options().k);
+            EXPECT_FALSE(warm_plan.defer);
+            EXPECT_EQ(expected.empty(), queue == 0);
+            EXPECT_EQ(cold_plan.candidates, expected);
+            EXPECT_EQ(warm_plan.candidates, expected);
+            EXPECT_EQ(warm_plan.overhead_ms, cold_plan.overhead_ms);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(EsgScheduler, OverheadGrowsWithK) {
