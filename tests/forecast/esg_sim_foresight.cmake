@@ -17,52 +17,11 @@ if(NOT ESG_SIM OR NOT ESG_TRACEGEN OR NOT OUT_DIR)
                       "-P ${CMAKE_CURRENT_LIST_FILE}")
 endif()
 
+include("${CMAKE_CURRENT_LIST_DIR}/../support/esg_cli.cmake")
+
 set(dir "${OUT_DIR}/esg_sim_foresight")
 file(REMOVE_RECURSE "${dir}")
 file(MAKE_DIRECTORY "${dir}")
-
-# Runs `tool` with the given arguments and stops the script unless it
-# exits 0.
-function(run tool)
-  execute_process(COMMAND "${tool}" ${ARGN}
-                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-  if(NOT rc STREQUAL "0")
-    list(JOIN ARGN " " shown)
-    message(FATAL_ERROR "${tool} ${shown}: exit ${rc}; stderr:\n${err}")
-  endif()
-endfunction()
-
-# Wants files `a` and `b` byte-identical.
-function(expect_same a b)
-  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${a}" "${b}"
-                  RESULT_VARIABLE rc)
-  if(NOT rc STREQUAL "0")
-    message(SEND_ERROR "${b} differs from ${a}")
-  endif()
-endfunction()
-
-# Wants directories `a` and `b` to hold the same file names with
-# byte-identical contents.
-function(expect_same_dir a b)
-  file(GLOB_RECURSE left RELATIVE "${a}" "${a}/*")
-  file(GLOB_RECURSE right RELATIVE "${b}" "${b}/*")
-  list(SORT left)
-  list(SORT right)
-  if(NOT left STREQUAL right OR left STREQUAL "")
-    message(SEND_ERROR "${a} holds [${left}] but ${b} holds [${right}]")
-    return()
-  endif()
-  foreach(name IN LISTS left)
-    expect_same("${a}/${name}" "${b}/${name}")
-  endforeach()
-endfunction()
-
-# Outputs of one run written under `dir` with the name `stem`.
-function(artefacts out stem)
-  set(${out} --trace-out "${dir}/${stem}.json" --stats-out
-      "${dir}/${stem}.jsonl" --report-out "${dir}/${stem}_report.json"
-      PARENT_SCOPE)
-endfunction()
 
 # An inert forecast spec is invisible.
 artefacts(plain plain)
@@ -71,9 +30,7 @@ run("${ESG_SIM}" --horizon-ms 2000 --nodes 4 ${plain}
     --csv-dir "${dir}/plain_csv")
 run("${ESG_SIM}" --horizon-ms 2000 --nodes 4 --forecast none ${inert}
     --csv-dir "${dir}/inert_csv")
-foreach(suffix .json .jsonl _report.json)
-  expect_same("${dir}/plain${suffix}" "${dir}/inert${suffix}")
-endforeach()
+expect_same_artefacts(plain inert)
 expect_same_dir("${dir}/plain_csv" "${dir}/inert_csv")
 
 # A forecasted run replays deterministically. Inside a spec, "\;" is a
@@ -83,9 +40,7 @@ artefacts(first fc1)
 artefacts(second fc2)
 run("${ESG_SIM}" --horizon-ms 3000 --nodes 4 --forecast "${spec}" ${first})
 run("${ESG_SIM}" --horizon-ms 3000 --nodes 4 --forecast "${spec}" ${second})
-foreach(suffix .json .jsonl _report.json)
-  expect_same("${dir}/fc1${suffix}" "${dir}/fc2${suffix}")
-endforeach()
+expect_same_artefacts(fc1 fc2)
 
 # Oracle foresight attains at least the reactive run's attainment.
 run("${ESG_TRACEGEN}" --days 2 --bins 30 --bin-ms 500 --mean-rate 8

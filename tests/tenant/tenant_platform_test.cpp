@@ -11,19 +11,26 @@
 //  - isolation: MQFQ-Sticky with equal weights keeps the steady tenant's
 //    p99 strictly below the undefended shared-queue ESG run on the same
 //    bursty-neighbor workload, and a 3:1 weight split measurably shifts
-//    attainment toward the favored tenant.
+//    attainment toward the favored tenant;
+//  - the stats JSONL, attribution report and per_tenant.csv of a
+//    two-tenant esg_sim-shaped run, read back with common/json, carry
+//    every tenant's gauges and roll the run up per tenant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/stats.hpp"
 #include "elastic/elastic_spec.hpp"
 #include "exp/scenario.hpp"
 #include "fault/fault_spec.hpp"
+#include "metrics/export.hpp"
+#include "obs/analysis/attribution.hpp"
 #include "obs/analysis/critical_path.hpp"
 #include "obs/analysis/dataset.hpp"
 #include "obs/recorder.hpp"
@@ -266,6 +273,106 @@ TEST(TenantPlatform, WeightsShiftAttainmentTowardFavoredTenant) {
   // Tripling gold's weight must measurably raise its attainment relative to
   // the equal split on the identical workload.
   EXPECT_GT(tenant_hit_rate(favored, 0), tenant_hit_rate(equal, 0));
+}
+
+// --- artefacts, read back with common/json ------------------------------
+
+/// The two-tenant MQFQ-Sticky run of EsgSim.FairnessSmoke
+/// (tenant/esg_sim_fairness.cmake): esg_sim's defaults on 4 nodes.
+exp::Scenario fairness_smoke_scenario() {
+  exp::Scenario scenario;
+  scenario.scheduler = exp::SchedulerKind::kMqfqSticky;
+  scenario.nodes = 4;
+  scenario.horizon_ms = 3'000.0;
+  scenario.tenants =
+      tenant::parse_tenant_spec("gold:3:apps=0,2;bronze:1:energy:apps=1,3;throttle=25");
+  return scenario;
+}
+
+/// A run's stats JSONL, attribution report and per_tenant.csv, as
+/// `esg_sim --stats-out --report-out --csv-dir` writes them.
+struct Artefacts {
+  std::string stats;
+  json::Value report;
+  std::string per_tenant_csv;
+};
+
+Artefacts run_artefacts(const exp::Scenario& scenario) {
+  std::ostringstream stats;
+  obs::TraceRecorder recorder;
+  recorder.add_sink(std::make_unique<obs::JsonlStatsSink>(stats));
+  auto sink = std::make_unique<obs::analysis::AnalysisSink>();
+  const obs::analysis::AnalysisSink* analysis = sink.get();
+  recorder.add_sink(std::move(sink));
+  const exp::RunOutput output = exp::run_scenario(scenario, &recorder);
+  std::ostringstream report;
+  obs::analysis::write_report_json(
+      obs::analysis::build_report(analysis->dataset()), report);
+  std::vector<std::string> names;
+  for (std::uint32_t t = 0; t < scenario.tenants.tenants.size(); ++t) {
+    names.push_back(scenario.tenants.tenant_name(t));
+  }
+  std::ostringstream csv;
+  metrics::write_per_tenant_summary_csv(output.metrics, names, "seed1", csv, true);
+  return {stats.str(), json::parse(report.str(), "report"), csv.str()};
+}
+
+TEST(TenantPlatform, StatsCarryEveryTenantGauge) {
+  const Artefacts run = run_artefacts(fairness_smoke_scenario());
+  std::set<std::string> names;
+  std::istringstream lines(run.stats);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty()) continue;
+    const json::Value row = json::parse(line, "stats line");
+    const json::Value* name = row.find("name");
+    ASSERT_NE(name, nullptr) << line;
+    names.insert(name->text);
+  }
+  for (const char* tenant : {"gold", "bronze"}) {
+    for (const char* gauge : {"tenant_vt", "tenant_backlog", "tenant_throttled"}) {
+      EXPECT_TRUE(names.contains(std::string(gauge) + "/" + tenant))
+          << gauge << "/" << tenant;
+    }
+  }
+}
+
+TEST(TenantPlatform, ReportAndCsvRollUpPerTenant) {
+  const Artefacts run = run_artefacts(fairness_smoke_scenario());
+  const json::Value* requests = run.report.find("requests");
+  const json::Value* rows = run.report.find("tenants");
+  ASSERT_NE(requests, nullptr);
+  ASSERT_NE(rows, nullptr);
+  ASSERT_EQ(rows->kind, json::Value::Kind::kArray);
+  std::set<std::string> reported;
+  double sum = 0.0;
+  for (const json::Value& row : rows->items) {
+    const json::Value* tenant = row.find("tenant");
+    const json::Value* tenant_requests = row.find("requests");
+    ASSERT_NE(tenant, nullptr);
+    ASSERT_NE(tenant_requests, nullptr);
+    reported.insert(tenant->text);
+    sum += tenant_requests->number;
+  }
+  const std::set<std::string> both = {"gold", "bronze"};
+  EXPECT_EQ(reported, both);
+  EXPECT_GT(requests->number, 0.0);
+  EXPECT_EQ(sum, requests->number);
+
+  // per_tenant.csv: a header naming the columns, then one row per tenant.
+  std::istringstream lines(run.per_tenant_csv);
+  std::string header;
+  ASSERT_TRUE(std::getline(lines, header));
+  ASSERT_TRUE(header.starts_with("label,tenant,name,")) << header;
+  std::set<std::string> listed;
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream fields(line);
+    std::string label, tenant, name;
+    std::getline(fields, label, ',');
+    std::getline(fields, tenant, ',');
+    std::getline(fields, name, ',');
+    listed.insert(name);
+  }
+  EXPECT_EQ(listed, both);
 }
 
 }  // namespace
