@@ -140,6 +140,8 @@ class Stage {
       high = std::max(high, bits);
     }
     if (live == 0) return passing;
+    check(high < std::bit_cast<std::uint64_t>(kInf),
+          "esg_1q: path costs must be finite and non-negative");
 
     // About one bucket per live path.
     const int shift = std::max(0, static_cast<int>(std::bit_width(high - low)) -
