@@ -30,9 +30,9 @@
 // costs do: the level is then redone in std::sort's order, whose tie order
 // the golden corpus pins.
 //
-// SearchStats::nodes_expanded stays Algorithm 1's count of configurations
+// SearchStats::nodes_expanded is Algorithm 1's count of configurations
 // examined: every one that passes the time blade, plus the one that breaks
-// the stage off. It is not the number of entries the code visits, and the
+// the stage off. It is not the number of entries the code visits; the
 // simulator charges scheduling overhead from it.
 #pragma once
 
