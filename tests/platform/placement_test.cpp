@@ -33,18 +33,6 @@ TEST(LocalityFirstPlace, HomeWhenNoPredecessor) {
   EXPECT_EQ(*chosen, InvokerId(1));
 }
 
-TEST(LocalityFirstPlace, WarmInvokerBeforeCold) {
-  cluster::Cluster c(4);
-  // Predecessor and home both full.
-  c.invoker(InvokerId(3)).allocate(16, 7);
-  c.invoker(InvokerId(1)).allocate(16, 7);
-  c.invoker(InvokerId(2)).add_warm(FunctionId(0), 0.0);
-  const auto chosen = locality_first_place(
-      ctx_with({1, 2, 1}, InvokerId(3), InvokerId(1)), c);
-  ASSERT_TRUE(chosen.has_value());
-  EXPECT_EQ(*chosen, InvokerId(2));
-}
-
 TEST(LocalityFirstPlace, ColdFallbackPicksEmptiest) {
   cluster::Cluster c(3);
   c.invoker(InvokerId(0)).allocate(16, 7);  // pred/home candidates busy
@@ -64,14 +52,63 @@ TEST(LocalityFirstPlace, NulloptWhenNothingFits) {
           .has_value());
 }
 
-TEST(LocalityFirstPlace, SkipsWarmInvokerThatCannotFit) {
+// warm_place is the controller's warm step, run with `local` set by the
+// strategy's prefers_locality(); every row asks it both ways.
+
+TEST(WarmPlace, LocalPrefersPredecessorThenHome) {
+  cluster::Cluster c(4);
+  for (const std::uint32_t id : {1u, 2u, 3u}) {
+    c.invoker(InvokerId(id)).add_warm(FunctionId(0), 0.0);
+  }
+  const PlacementContext ctx = ctx_with({1, 2, 1}, InvokerId(3), InvokerId(2));
+  EXPECT_EQ(warm_place(ctx, c, true), InvokerId(3));
+  EXPECT_EQ(warm_place(ctx_with({1, 2, 1}, InvokerId{}, InvokerId(2)), c, true),
+            InvokerId(2));
+  // Without locality, the lowest-id warm invoker that fits.
+  EXPECT_EQ(warm_place(ctx, c, false), InvokerId(1));
+}
+
+TEST(WarmPlace, WarmInvokerWhenLocalOnesAreFull) {
+  cluster::Cluster c(4);
+  // Predecessor and home both full.
+  c.invoker(InvokerId(3)).allocate(16, 7);
+  c.invoker(InvokerId(1)).allocate(16, 7);
+  c.invoker(InvokerId(2)).add_warm(FunctionId(0), 0.0);
+  const PlacementContext ctx = ctx_with({1, 2, 1}, InvokerId(3), InvokerId(1));
+  for (const bool local : {true, false}) {
+    EXPECT_EQ(warm_place(ctx, c, local), InvokerId(2)) << "local " << local;
+  }
+}
+
+TEST(WarmPlace, SkipsWarmInvokerThatCannotFit) {
   cluster::Cluster c(2);
   c.invoker(InvokerId(0)).allocate(16, 7);
   c.invoker(InvokerId(1)).allocate(16, 6);  // one vGPU left, no vCPU
   c.invoker(InvokerId(1)).add_warm(FunctionId(0), 0.0);
-  EXPECT_FALSE(
-      locality_first_place(ctx_with({2, 4, 1}, InvokerId{}, InvokerId(0)), c)
-          .has_value());
+  const PlacementContext ctx = ctx_with({2, 4, 1}, InvokerId{}, InvokerId(1));
+  for (const bool local : {true, false}) {
+    EXPECT_FALSE(warm_place(ctx, c, local).has_value()) << "local " << local;
+  }
+}
+
+TEST(WarmPlace, SkipsTheExcludedInvoker) {
+  cluster::Cluster c(3);
+  c.invoker(InvokerId(1)).add_warm(FunctionId(0), 0.0);
+  c.invoker(InvokerId(2)).add_warm(FunctionId(0), 0.0);
+  PlacementContext ctx = ctx_with({1, 2, 1}, InvokerId(1), InvokerId(0));
+  ctx.excluded_invoker = InvokerId(1);
+  for (const bool local : {true, false}) {
+    EXPECT_EQ(warm_place(ctx, c, local), InvokerId(2)) << "local " << local;
+  }
+}
+
+TEST(WarmPlace, NulloptWithoutAWarmContainer) {
+  cluster::Cluster c(2);
+  c.invoker(InvokerId(1)).add_warm(FunctionId(1), 0.0);  // another function
+  const PlacementContext ctx = ctx_with({1, 2, 1}, InvokerId(1), InvokerId(0));
+  for (const bool local : {true, false}) {
+    EXPECT_FALSE(warm_place(ctx, c, local).has_value()) << "local " << local;
+  }
 }
 
 }  // namespace
