@@ -7,8 +7,10 @@
 //    stage dispatch re-plans against the current system state (the paper's
 //    key difference from Orion/Aquatope). The searches go through an exact
 //    memo (SearchMemo): a repeated search returns the stored answer.
-//  - place(): ESG_Dispatch — predecessor/home invoker first for data
-//    locality, then warm invokers, then the emptiest cold invoker.
+//  - place(): the cold steps of ESG_Dispatch (locality_first_place) — the
+//    predecessor's or home invoker for data locality, else the emptiest
+//    invoker. Its warm step, a warm container on the predecessor's, the
+//    home or any invoker, is the controller's warm_place, which runs first.
 #pragma once
 
 #include <cstddef>

@@ -43,6 +43,15 @@ constexpr TimeMs kRetryBackoffCapMs = 512.0;
 constexpr double kTaskTimeoutFactor = 4.0;
 constexpr TimeMs kTaskTimeoutFloorMs = 50.0;
 
+/// "a<app>/s<stage>", the suffix of a task's dispatch instant and spans.
+std::string stage_tag(const Task& task) {
+  std::string tag = "a";
+  tag += std::to_string(task.app.get());
+  tag += "/s";
+  tag += std::to_string(task.stage);
+  return tag;
+}
+
 }  // namespace
 
 Controller::Controller(sim::Simulator& sim, cluster::Cluster& cluster,
@@ -68,6 +77,7 @@ Controller::Controller(sim::Simulator& sim, cluster::Cluster& cluster,
   for (const auto& app : apps) max_id = std::max<std::size_t>(max_id, app.id().get());
   apps_.assign(max_id + 1, nullptr);
   slo_ms_.assign(max_id + 1, 0.0);
+  floor_ms_.assign(max_id + 1, 0.0);
   for (const auto& app : apps) {
     app.validate();
     if (apps_[app.id().get()] != nullptr) {
@@ -75,6 +85,13 @@ Controller::Controller(sim::Simulator& sim, cluster::Cluster& cluster,
     }
     apps_[app.id().get()] = &app;
     slo_ms_[app.id().get()] = workload::slo_latency_ms(app, profiles_, slo_setting);
+    // Admission's best-case critical path: every stage at its fastest
+    // profiled configuration.
+    std::vector<TimeMs> fastest_ms;
+    for (const workload::DagNode& node : app.nodes()) {
+      fastest_ms.push_back(profiles_.table(node.function).min_latency());
+    }
+    floor_ms_[app.id().get()] = workload::longest_path_ms(app, fastest_ms);
   }
   for (const auto* app : apps_) {
     if (app == nullptr) throw std::invalid_argument("Controller: AppIds not dense");
@@ -758,9 +775,8 @@ void Controller::dispatch(AfwQueue& queue, const profile::Config& config,
   // Tasks always consume a warm container: cold starts run as container
   // provisioning in process_queue, off the execution resources, and show up
   // as queueing delay for the affected jobs.
-  task.warm_start = invoker.acquire_warm(task.function, sim_.now());
-  check(task.warm_start, "dispatch: no warm container on the chosen invoker");
-  task.cold_ms = 0.0;
+  const bool warm = invoker.acquire_warm(task.function, sim_.now());
+  check(warm, "dispatch: no warm container on the chosen invoker");
   if (measured) ++metrics_.warm_starts;
 
   // Input staging: per-job inputs are fetched in parallel; the batch waits
@@ -828,11 +844,7 @@ void Controller::dispatch(AfwQueue& queue, const profile::Config& config,
     emit_task_spans(task, overhead_ms, done, false, {});
   }
   if (traced_now()) {
-    std::string stage_tag = "a";
-    stage_tag += std::to_string(task.app.get());
-    stage_tag += "/s";
-    stage_tag += std::to_string(task.stage);
-    rec_->instant(obs::InstantKind::kDispatch, "dispatch " + stage_tag,
+    rec_->instant(obs::InstantKind::kDispatch, "dispatch " + stage_tag(task),
                   obs::controller_track(), sim_.now(),
                   {{"app", std::to_string(task.app.get())},
                    {"stage", std::to_string(task.stage)},
@@ -895,14 +907,11 @@ void Controller::emit_task_spans(const Task& task, TimeMs overhead_ms,
     return;
   }
   const TimeMs start = task.dispatch_ms + overhead_ms;
-  std::string stage_tag = "a";
-  stage_tag += std::to_string(task.app.get());
-  stage_tag += "/s";
-  stage_tag += std::to_string(task.stage);
+  const std::string tag = stage_tag(task);
 
   for (const Job& job : task.jobs) {
     const obs::Track req_track = obs::request_track(job.request);
-    rec_->span(obs::SpanKind::kQueueWait, "wait " + stage_tag, req_track,
+    rec_->span(obs::SpanKind::kQueueWait, "wait " + tag, req_track,
                job.enqueue_ms, task.dispatch_ms,
                {{"job", std::to_string(job.id.get())},
                 {"stage", std::to_string(task.stage)},
@@ -917,7 +926,7 @@ void Controller::emit_task_spans(const Task& task, TimeMs overhead_ms,
       run_args.emplace_back("cause", std::string(cause));
       run_args.emplace_back("attempt", std::to_string(job.attempts));
     }
-    rec_->span(obs::SpanKind::kStage, "run " + stage_tag, req_track,
+    rec_->span(obs::SpanKind::kStage, "run " + tag, req_track,
                task.dispatch_ms, done, std::move(run_args));
   }
 
@@ -925,7 +934,7 @@ void Controller::emit_task_spans(const Task& task, TimeMs overhead_ms,
       task.trace_lanes.empty() ? 0u : task.trace_lanes.front();
   const obs::Track exec_track = obs::invoker_track(task.invoker, primary);
   if (task.transfer_ms > 0.0) {
-    rec_->span(obs::SpanKind::kStaging, "staging " + stage_tag, exec_track,
+    rec_->span(obs::SpanKind::kStaging, "staging " + tag, exec_track,
                start, std::min(start + task.transfer_ms, done),
                {{"task", std::to_string(task.id.get())}});
   }
@@ -940,11 +949,11 @@ void Controller::emit_task_spans(const Task& task, TimeMs overhead_ms,
       exec_args.emplace_back("failed", "true");
       exec_args.emplace_back("cause", std::string(cause));
     }
-    rec_->span(obs::SpanKind::kExec, "exec " + stage_tag, exec_track,
+    rec_->span(obs::SpanKind::kExec, "exec " + tag, exec_track,
                start + task.transfer_ms, done, std::move(exec_args));
   }
   for (std::size_t i = 1; i < task.trace_lanes.size(); ++i) {
-    rec_->span(obs::SpanKind::kSliceOccupied, "slice " + stage_tag,
+    rec_->span(obs::SpanKind::kSliceOccupied, "slice " + tag,
                obs::invoker_track(task.invoker, task.trace_lanes[i]), start,
                done, {{"task", std::to_string(task.id.get())}});
   }
@@ -1099,8 +1108,7 @@ void Controller::requeue_job(const Job& job) {
 
 void Controller::abort_request(RequestId request, workload::NodeIndex stage,
                                TimeMs now) {
-  auto it = requests_.find(request);
-  if (it == requests_.end()) return;
+  if (!requests_.contains(request)) return;
   aborted_requests_.insert(request.get());
 
   // Drop the request's queued jobs everywhere (parallel DAG branches may
@@ -1114,39 +1122,7 @@ void Controller::abort_request(RequestId request, workload::NodeIndex stage,
     }
   }
 
-  const RequestState req = it->second;
-  requests_.erase(it);
-
-  if (req.arrival_ms < options_.metrics_warmup_ms) return;
-
-  ++metrics_.retries_exhausted;
-  metrics::CompletionRecord record;
-  record.request = request;
-  record.app = req.app;
-  record.tenant = req.tenant;
-  record.arrival_ms = req.arrival_ms;
-  record.completion_ms = now;
-  record.latency_ms = now - req.arrival_ms;
-  record.slo_ms = req.slo_ms;
-  record.hit = false;
-  record.failed = true;
-  metrics_.completions.push_back(record);
-
-  if (rec_ != nullptr && rec_->is_enabled()) {
-    obs::ArgList args{{"app", std::to_string(req.app.get())},
-                      {"latency_ms", std::to_string(record.latency_ms)},
-                      {"slo_ms", std::to_string(req.slo_ms)},
-                      {"hit", "false"},
-                      {"aborted", "true"},
-                      {"abort_stage", std::to_string(stage)}};
-    if (fq_ != nullptr) {
-      args.emplace_back("tenant", fq_->spec().tenant_name(req.tenant));
-    }
-    rec_->span(obs::SpanKind::kRequest,
-               "request " + std::to_string(request.get()),
-               obs::request_track(request), req.arrival_ms, now,
-               std::move(args));
-  }
+  finish_request(request, now, stage);
 }
 
 void Controller::on_invoker_crash(InvokerId invoker, TimeMs rejoin_at_ms) {
@@ -1253,28 +1229,11 @@ bool Controller::should_shed(AppId app) const {
   }
   if (slices == 0) return true;  // no capacity and none on the way
 
-  // Best-case critical path: every stage at its fastest profiled config.
-  const auto& dag = dag_of(app);
-  std::vector<TimeMs> longest(dag.size(), -1.0);
-  std::function<TimeMs(workload::NodeIndex)> path_to =
-      [&](workload::NodeIndex i) -> TimeMs {
-    if (longest[i] >= 0.0) return longest[i];
-    TimeMs best_pred = 0.0;
-    for (workload::NodeIndex p : dag.node(i).predecessors) {
-      best_pred = std::max(best_pred, path_to(p));
-    }
-    longest[i] =
-        best_pred + profiles_.table(dag.node(i).function).min_latency();
-    return longest[i];
-  };
-  TimeMs floor_ms = 0.0;
-  for (workload::NodeIndex sink : dag.sinks()) {
-    floor_ms = std::max(floor_ms, path_to(sink));
-  }
-
   // Backlog penalty: the queued tasks ahead of this request, each at a
   // best-case mean stage latency, spread over the fleet's slices.
-  const TimeMs mean_stage_ms = floor_ms / static_cast<double>(dag.size());
+  const TimeMs floor_ms = floor_ms_[app.get()];
+  const TimeMs mean_stage_ms =
+      floor_ms / static_cast<double>(dag_of(app).size());
   const TimeMs penalty_ms =
       static_cast<double>(total_queued_jobs()) * mean_stage_ms /
       static_cast<double>(slices);
@@ -1431,7 +1390,9 @@ void Controller::advance_job(const Job& job, InvokerId ran_on,
   }
 }
 
-void Controller::finish_request(RequestId request, TimeMs completion_ms) {
+void Controller::finish_request(
+    RequestId request, TimeMs completion_ms,
+    std::optional<workload::NodeIndex> abort_stage) {
   auto it = requests_.find(request);
   check(it != requests_.end(), "finish_request: unknown request");
   const RequestState& req = it->second;
@@ -1449,7 +1410,9 @@ void Controller::finish_request(RequestId request, TimeMs completion_ms) {
   record.completion_ms = completion_ms;
   record.latency_ms = completion_ms - req.arrival_ms;
   record.slo_ms = req.slo_ms;
-  record.hit = record.latency_ms <= req.slo_ms;
+  record.failed = abort_stage.has_value();
+  record.hit = !record.failed && record.latency_ms <= req.slo_ms;
+  if (record.failed) ++metrics_.retries_exhausted;
   metrics_.completions.push_back(record);
 
   if (rec_ != nullptr && rec_->is_enabled()) {
@@ -1457,6 +1420,10 @@ void Controller::finish_request(RequestId request, TimeMs completion_ms) {
                       {"latency_ms", std::to_string(record.latency_ms)},
                       {"slo_ms", std::to_string(req.slo_ms)},
                       {"hit", record.hit ? "true" : "false"}};
+    if (record.failed) {
+      args.emplace_back("aborted", "true");
+      args.emplace_back("abort_stage", std::to_string(*abort_stage));
+    }
     if (fq_ != nullptr) {
       args.emplace_back("tenant", fq_->spec().tenant_name(req.tenant));
     }

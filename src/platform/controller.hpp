@@ -10,6 +10,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string_view>
 #include <unordered_map>
@@ -196,6 +197,9 @@ class Controller {
   const profile::ProfileSet& profiles_;
   std::vector<const workload::AppDag*> apps_;  // indexed by AppId value
   std::vector<TimeMs> slo_ms_;                 // indexed by AppId value
+  /// Best-case critical path (every stage at its fastest profiled
+  /// configuration), indexed by AppId value: admission's latency floor.
+  std::vector<TimeMs> floor_ms_;
   Scheduler& scheduler_;
   ControllerOptions options_;
   profile::PriceModel prices_;
@@ -285,7 +289,11 @@ class Controller {
   void advance_job(const Job& job, InvokerId ran_on, TimeMs completion_ms);
   void enqueue_job(RequestId request, AppId app, workload::NodeIndex stage,
                    InvokerId input_location, TimeMs now);
-  void finish_request(RequestId request, TimeMs completion_ms);
+  /// Books a request's outcome, once: its completion record and request
+  /// span when it arrived in the measured window. `abort_stage` is the stage
+  /// whose retries ran out; the request then counts as failed and missed.
+  void finish_request(RequestId request, TimeMs completion_ms,
+                      std::optional<workload::NodeIndex> abort_stage = {});
 
   /// Emits the per-job wait/run spans and the invoker staging/exec/slice
   /// spans of a task ending (successfully or not) at `done`. Shared by the
@@ -301,6 +309,8 @@ class Controller {
   void fail_tasks_on(InvokerId invoker, FailureCause cause);
   void retry_or_abort(const Task& task, FailureCause cause);
   void requeue_job(const Job& job);
+  /// Drops every queued job of `request` and finishes it as aborted at
+  /// `stage`; a request already finished is left alone.
   void abort_request(RequestId request, workload::NodeIndex stage, TimeMs now);
   void on_invoker_crash(InvokerId invoker, TimeMs rejoin_at_ms);
   void on_invoker_rejoin(InvokerId invoker);

@@ -41,19 +41,16 @@ struct Task {
   std::vector<Job> jobs;
 
   TimeMs dispatch_ms = 0.0;  ///< when resources were allocated
-  TimeMs cold_ms = 0.0;      ///< cold-start component (0 on warm start)
   TimeMs transfer_ms = 0.0;  ///< input staging component
   TimeMs exec_ms = 0.0;      ///< noisy execution latency
-  bool warm_start = false;
   Usd cost = 0.0;
   /// vGPU-slice rows this task occupies in the trace (empty when tracing is
   /// off); released when the task completes.
   std::vector<std::uint32_t> trace_lanes;
 
-  /// Full node-occupancy duration.
-  [[nodiscard]] TimeMs occupancy_ms() const {
-    return cold_ms + transfer_ms + exec_ms;
-  }
+  /// Full node-occupancy duration. A task always runs in a warm container:
+  /// cold starts are container provisioning, off the execution resources.
+  [[nodiscard]] TimeMs occupancy_ms() const { return transfer_ms + exec_ms; }
 };
 
 }  // namespace esg::platform

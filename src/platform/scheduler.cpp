@@ -28,16 +28,13 @@ std::optional<InvokerId> warm_place(const PlacementContext& ctx,
 
 std::optional<InvokerId> locality_first_place(const PlacementContext& ctx,
                                               const cluster::Cluster& cluster) {
-  // 1.-2. Warm: locally first, then anywhere.
-  if (const auto warm = warm_place(ctx, cluster, true)) return warm;
-
-  // 3. Cold, but local.
+  // 1. Local: the predecessor's invoker, then the home invoker.
   for (const InvokerId id : {ctx.predecessor_invoker, ctx.home_invoker}) {
     if (id.valid() && fits(ctx, cluster, id)) return id;
   }
 
-  // 4. The cold invoker with the most available resources (vGPUs are the
-  //    scarce dimension; vCPUs break ties).
+  // 2. The invoker with the most available resources (vGPUs are the scarce
+  //    dimension; vCPUs break ties).
   std::optional<InvokerId> best;
   int best_score = -1;
   for (const auto& inv : cluster.invokers()) {

@@ -8,7 +8,9 @@
 //   plan():  which (batch, #vCPU, #vGPU) configurations should the jobs of
 //            this AFW queue run with, in priority order (the configuration
 //            priority queue of Section 3.1)?
-//   place(): which invoker should host the chosen configuration?
+//   place(): where should a new container for the chosen configuration go?
+//            The controller reuses a fitting warm container itself
+//            (warm_place) and asks place() only when none fits.
 #pragma once
 
 #include <cstdint>
@@ -96,7 +98,10 @@ class Scheduler {
   /// Chooses configurations for the queue described by `view`.
   virtual PlanResult plan(const QueueView& view) = 0;
 
-  /// Chooses an invoker able to fit ctx.config; std::nullopt if none fits.
+  /// Chooses the invoker a new container for ctx.config is provisioned on;
+  /// std::nullopt if none fits. Asked only after the controller's warm step
+  /// (warm_place) found no fitting warm container for the same context at
+  /// the same time, so it need not look for one.
   virtual std::optional<InvokerId> place(const PlacementContext& ctx,
                                          const cluster::Cluster& cluster) = 0;
 
@@ -149,17 +154,19 @@ class Scheduler {
 [[nodiscard]] bool fits(const PlacementContext& ctx,
                         const cluster::Cluster& cluster, InvokerId id);
 
-/// The one warm-reuse step (DESIGN.md §4b): a fitting invoker that holds a
+/// The one warm-reuse step (DESIGN.md §4b), which the controller runs for
+/// every strategy before it asks place(): a fitting invoker that holds a
 /// warm container for ctx.function — with `local`, the predecessor's and
 /// then the home invoker first — else the lowest-id fitting warm invoker
 /// (Cluster::find_warm). std::nullopt when no warm container fits.
 [[nodiscard]] std::optional<InvokerId> warm_place(
     const PlacementContext& ctx, const cluster::Cluster& cluster, bool local);
 
-/// ESG_Dispatch (Section 3.4), the shared fallback placement of several
-/// strategies and of the controller's forced-minimum dispatch: warm_place
-/// with locality, then the predecessor's or home invoker cold, then the
-/// cold invoker with the most free resources.
+/// The cold steps of ESG_Dispatch (Section 3.4; the controller's warm_place
+/// with locality is its warm step), shared by several strategies' place()
+/// and by the controller's forced-minimum dispatch: the predecessor's or
+/// home invoker if it fits, else the invoker with the most free resources.
+/// It ignores warm containers.
 [[nodiscard]] std::optional<InvokerId> locality_first_place(
     const PlacementContext& ctx, const cluster::Cluster& cluster);
 

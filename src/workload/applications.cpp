@@ -1,6 +1,5 @@
 #include "workload/applications.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "profile/function_spec.hpp"
@@ -62,20 +61,12 @@ double slo_multiplier(SloSetting s) {
 
 TimeMs baseline_latency_ms(const AppDag& dag,
                            const profile::ProfileSet& profiles) {
-  // Longest path over min-config latencies (for pipelines: their sum).
-  const auto order = dag.topo_order();
-  std::vector<TimeMs> finish(dag.size(), 0.0);
-  TimeMs best = 0.0;
-  for (NodeIndex u : order) {
-    TimeMs start = 0.0;
-    for (NodeIndex p : dag.node(u).predecessors) {
-      start = std::max(start, finish[p]);
-    }
-    const auto& tbl = profiles.table(dag.node(u).function);
-    finish[u] = start + tbl.min_config_entry().latency_ms;
-    best = std::max(best, finish[u]);
+  std::vector<TimeMs> node_ms;
+  for (const DagNode& node : dag.nodes()) {
+    node_ms.push_back(
+        profiles.table(node.function).min_config_entry().latency_ms);
   }
-  return best;
+  return longest_path_ms(dag, node_ms);
 }
 
 TimeMs slo_latency_ms(const AppDag& dag, const profile::ProfileSet& profiles,

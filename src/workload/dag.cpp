@@ -82,6 +82,20 @@ std::vector<NodeIndex> AppDag::topo_order() const {
   return order;
 }
 
+TimeMs longest_path_ms(const AppDag& dag, std::span<const TimeMs> node_ms) {
+  std::vector<TimeMs> finish(dag.size(), 0.0);
+  TimeMs longest = 0.0;
+  for (const NodeIndex u : dag.topo_order()) {
+    TimeMs start = 0.0;
+    for (const NodeIndex p : dag.node(u).predecessors) {
+      start = std::max(start, finish[p]);
+    }
+    finish[u] = start + node_ms[u];
+    longest = std::max(longest, finish[u]);
+  }
+  return longest;
+}
+
 AppDag make_pipeline(AppId id, std::string name,
                      const std::vector<FunctionId>& functions) {
   if (functions.empty()) {

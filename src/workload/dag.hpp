@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,12 @@ class AppDag {
   std::string name_;
   std::vector<DagNode> nodes_;
 };
+
+/// The longest entry-to-sink path of a validated `dag` when node i takes
+/// node_ms[i] >= 0: the latest finish over the topological order, each node
+/// starting when its last predecessor finishes (for a pipeline, the sum).
+[[nodiscard]] TimeMs longest_path_ms(const AppDag& dag,
+                                     std::span<const TimeMs> node_ms);
 
 /// Builds a linear pipeline from an ordered list of functions.
 [[nodiscard]] AppDag make_pipeline(AppId id, std::string name,

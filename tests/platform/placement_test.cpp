@@ -52,6 +52,20 @@ TEST(LocalityFirstPlace, NulloptWhenNothingFits) {
           .has_value());
 }
 
+TEST(LocalityFirstPlace, IgnoresAWarmContainerElsewhere) {
+  cluster::Cluster c(4);
+  // Predecessor and home both full; invoker 2 is warm but busier than 0.
+  c.invoker(InvokerId(3)).allocate(16, 7);
+  c.invoker(InvokerId(1)).allocate(16, 7);
+  c.invoker(InvokerId(2)).allocate(4, 2);
+  c.invoker(InvokerId(2)).add_warm(FunctionId(0), 0.0);
+  const PlacementContext ctx = ctx_with({1, 2, 1}, InvokerId(3), InvokerId(1));
+  // The warm step is the controller's: place() decides only where a new
+  // container goes.
+  EXPECT_EQ(locality_first_place(ctx, c), InvokerId(0));
+  EXPECT_EQ(warm_place(ctx, c, true), InvokerId(2));
+}
+
 // warm_place is the controller's warm step, run with `local` set by the
 // strategy's prefers_locality(); every row asks it both ways.
 

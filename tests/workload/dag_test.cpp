@@ -97,6 +97,27 @@ TEST(AppDag, TopoOrderRespectsEdges) {
   }
 }
 
+TEST(AppDag, LongestPathOfASplitJoinDag) {
+  // 0 -> {1, 2}, 1 -> 3, 2 -> {3, 4}: a split, a join and a second sink.
+  AppDag dag(AppId(0), "split-join");
+  for (int i = 0; i < 5; ++i) dag.add_node(fn(i));
+  dag.add_edge(0, 1);
+  dag.add_edge(0, 2);
+  dag.add_edge(1, 3);
+  dag.add_edge(2, 3);
+  dag.add_edge(2, 4);
+  dag.validate();
+  const std::vector<TimeMs> node_ms = {10.0, 50.0, 20.0, 5.0, 70.0};
+  // 0 -> 2 -> 4 (100 ms) beats the join's 0 -> 1 -> 3 (65 ms); the stages
+  // sum to 155 ms.
+  EXPECT_EQ(longest_path_ms(dag, node_ms), 100.0);
+  const std::vector<TimeMs> join_ms = {10.0, 50.0, 20.0, 5.0, 1.0};
+  EXPECT_EQ(longest_path_ms(dag, join_ms), 65.0);
+  // A pipeline's longest path is the sum of its stages.
+  const AppDag chain = make_pipeline(AppId(1), "p", {fn(0), fn(1), fn(2)});
+  EXPECT_EQ(longest_path_ms(chain, std::vector<TimeMs>{1.5, 2.0, 4.0}), 7.5);
+}
+
 TEST(AppDag, MultiSinkDag) {
   AppDag dag(AppId(1), "fork");
   for (int i = 0; i < 3; ++i) dag.add_node(fn(i));
