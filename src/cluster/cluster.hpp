@@ -98,9 +98,6 @@ class Cluster {
   [[nodiscard]] std::size_t draining_count() const {
     return count_state(NodeState::kDraining);
   }
-  [[nodiscard]] std::size_t retired_count() const {
-    return count_state(NodeState::kRetired);
-  }
 
   /// Installs the keep-alive tracing observer on every invoker.
   void set_warm_span_callback(WarmSpanCallback callback) {

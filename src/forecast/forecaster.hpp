@@ -87,9 +87,6 @@ class ForecastService {
 
   [[nodiscard]] const ForecastSpec& spec() const { return spec_; }
   [[nodiscard]] std::size_t app_count() const { return apps_; }
-  [[nodiscard]] std::string_view predictor_name() const {
-    return predictor_->name();
-  }
 
   /// Structured-tracing handle (non-owning; nullptr disables instants).
   void set_trace(obs::TraceRecorder* recorder) { rec_ = recorder; }

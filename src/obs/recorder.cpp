@@ -1,119 +1,63 @@
 #include "obs/recorder.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "perf/layer_clock.hpp"
 
 namespace esg::obs {
 
-std::string_view to_string(SpanKind kind) {
-  switch (kind) {
-    case SpanKind::kRequest:
-      return "request";
-    case SpanKind::kQueueWait:
-      return "queue_wait";
-    case SpanKind::kStage:
-      return "stage";
-    case SpanKind::kStaging:
-      return "staging";
-    case SpanKind::kExec:
-      return "exec";
-    case SpanKind::kSliceOccupied:
-      return "slice_occupied";
-    case SpanKind::kColdStart:
-      return "cold_start";
-    case SpanKind::kKeepAlive:
-      return "keep_alive";
-    case SpanKind::kPrewarm:
-      return "prewarm";
-    case SpanKind::kInvokerDown:
-      return "invoker_down";
-  }
-  return "unknown";
+namespace {
+
+// One name per kind, indexed by the enumerator's value: to_string writes
+// these and the *_kind_from_string readers look them up, so every kind that
+// is written can be read back.
+constexpr std::string_view kSpanNames[] = {
+    "request",        "queue_wait", "stage",      "staging", "exec",
+    "slice_occupied", "cold_start", "keep_alive", "prewarm", "invoker_down"};
+constexpr std::string_view kInstantNames[] = {
+    "dispatch",           "no_placement",   "defer",
+    "forced_min_dispatch", "prewarm_issued", "prewarm_skipped",
+    "budget_plan",        "budget_replan",  "fault",
+    "retry",              "retry_exhausted", "invoker_crash",
+    "invoker_rejoin",     "cold_start_failure", "scale_out",
+    "scale_in",           "node_activated", "node_retired",
+    "spot_warning",       "spot_reclaim",   "shed",
+    "forecast_bin",       "forecast_prewarm"};
+static_assert(std::size(kSpanNames) ==
+              static_cast<std::size_t>(SpanKind::kInvokerDown) + 1);
+static_assert(std::size(kInstantNames) ==
+              static_cast<std::size_t>(InstantKind::kForecastPrewarm) + 1);
+
+template <typename Kind, std::size_t N>
+std::string_view name_of(const std::string_view (&names)[N], Kind kind) {
+  const auto i = static_cast<std::size_t>(kind);
+  return i < N ? names[i] : "unknown";
 }
 
-std::string_view to_string(InstantKind kind) {
-  switch (kind) {
-    case InstantKind::kDispatch:
-      return "dispatch";
-    case InstantKind::kNoPlacement:
-      return "no_placement";
-    case InstantKind::kDefer:
-      return "defer";
-    case InstantKind::kForcedMinDispatch:
-      return "forced_min_dispatch";
-    case InstantKind::kPrewarmIssued:
-      return "prewarm_issued";
-    case InstantKind::kPrewarmSkipped:
-      return "prewarm_skipped";
-    case InstantKind::kBudgetPlan:
-      return "budget_plan";
-    case InstantKind::kBudgetReplan:
-      return "budget_replan";
-    case InstantKind::kFault:
-      return "fault";
-    case InstantKind::kRetry:
-      return "retry";
-    case InstantKind::kRetryExhausted:
-      return "retry_exhausted";
-    case InstantKind::kInvokerCrash:
-      return "invoker_crash";
-    case InstantKind::kInvokerRejoin:
-      return "invoker_rejoin";
-    case InstantKind::kColdStartFailure:
-      return "cold_start_failure";
-    case InstantKind::kScaleOut:
-      return "scale_out";
-    case InstantKind::kScaleIn:
-      return "scale_in";
-    case InstantKind::kNodeActivated:
-      return "node_activated";
-    case InstantKind::kNodeRetired:
-      return "node_retired";
-    case InstantKind::kSpotWarning:
-      return "spot_warning";
-    case InstantKind::kSpotReclaim:
-      return "spot_reclaim";
-    case InstantKind::kShed:
-      return "shed";
-    case InstantKind::kForecastBin:
-      return "forecast_bin";
-    case InstantKind::kForecastPrewarm:
-      return "forecast_prewarm";
+template <typename Kind, std::size_t N>
+std::optional<Kind> kind_named(const std::string_view (&names)[N],
+                               std::string_view s) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (names[i] == s) return static_cast<Kind>(i);
   }
-  return "unknown";
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::string_view to_string(SpanKind kind) { return name_of(kSpanNames, kind); }
+
+std::string_view to_string(InstantKind kind) {
+  return name_of(kInstantNames, kind);
 }
 
 std::optional<SpanKind> span_kind_from_string(std::string_view s) {
-  static constexpr SpanKind kAll[] = {
-      SpanKind::kRequest,   SpanKind::kQueueWait, SpanKind::kStage,
-      SpanKind::kStaging,   SpanKind::kExec,      SpanKind::kSliceOccupied,
-      SpanKind::kColdStart, SpanKind::kKeepAlive, SpanKind::kPrewarm,
-      SpanKind::kInvokerDown};
-  for (const SpanKind kind : kAll) {
-    if (to_string(kind) == s) return kind;
-  }
-  return std::nullopt;
+  return kind_named<SpanKind>(kSpanNames, s);
 }
 
 std::optional<InstantKind> instant_kind_from_string(std::string_view s) {
-  static constexpr InstantKind kAll[] = {
-      InstantKind::kDispatch,       InstantKind::kNoPlacement,
-      InstantKind::kDefer,          InstantKind::kForcedMinDispatch,
-      InstantKind::kPrewarmIssued,  InstantKind::kPrewarmSkipped,
-      InstantKind::kBudgetPlan,     InstantKind::kBudgetReplan,
-      InstantKind::kFault,          InstantKind::kRetry,
-      InstantKind::kRetryExhausted, InstantKind::kInvokerCrash,
-      InstantKind::kInvokerRejoin,  InstantKind::kColdStartFailure,
-      InstantKind::kScaleOut,       InstantKind::kScaleIn,
-      InstantKind::kNodeActivated,  InstantKind::kNodeRetired,
-      InstantKind::kSpotWarning,    InstantKind::kSpotReclaim,
-      InstantKind::kShed,           InstantKind::kForecastBin,
-      InstantKind::kForecastPrewarm};
-  for (const InstantKind kind : kAll) {
-    if (to_string(kind) == s) return kind;
-  }
-  return std::nullopt;
+  return kind_named<InstantKind>(kInstantNames, s);
 }
 
 void TraceRecorder::add_sink(std::unique_ptr<TraceSink> sink) {

@@ -24,6 +24,8 @@
 
 namespace esg::obs {
 
+// Each kind's trace category is its entry in recorder.cpp's name table,
+// which lists the kinds in enumerator order.
 enum class SpanKind : std::uint8_t {
   kRequest,        ///< end-to-end request (arrival -> last sink completion)
   kQueueWait,      ///< one job sitting in its AFW queue (enqueue -> dispatch)

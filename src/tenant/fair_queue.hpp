@@ -43,7 +43,6 @@ class FairQueue {
 
   [[nodiscard]] std::size_t tenant_count() const { return flows_.size(); }
   [[nodiscard]] const TenantSpec& spec() const { return spec_; }
-  [[nodiscard]] const ChargeModel& charge_model() const { return charge_; }
   [[nodiscard]] bool gating() const { return gate_; }
 
   /// --- flow accounting (controller hooks) -------------------------------

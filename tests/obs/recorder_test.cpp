@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <set>
+#include <string_view>
 
 #include "obs/sinks.hpp"
 
@@ -147,6 +150,32 @@ TEST(LaneAllocator, UnknownGroupIsEmpty) {
   EXPECT_TRUE(lanes.acquire(9, 1).empty());
   EXPECT_EQ(lanes.busy_lanes(9), 0u);
   lanes.release(9, {0});  // must not crash
+}
+
+// Every enumerator, up to the last one each enum declares, is written under
+// a name of its own that reads back as that enumerator; the value after the
+// last is unnamed and reads back as nothing.
+template <typename Kind>
+void expect_round_trips(Kind last,
+                        std::optional<Kind> (*from_string)(std::string_view)) {
+  const auto count = static_cast<std::size_t>(last) + 1;
+  std::set<std::string_view> names;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto kind = static_cast<Kind>(i);
+    const std::string_view name = to_string(kind);
+    EXPECT_NE(name, "unknown") << "enumerator " << i;
+    EXPECT_TRUE(names.insert(name).second) << name;
+    EXPECT_EQ(from_string(name), kind) << name;
+  }
+  EXPECT_EQ(to_string(static_cast<Kind>(count)), "unknown");
+  EXPECT_FALSE(from_string("unknown").has_value());
+}
+
+TEST(TraceKinds, EveryEnumeratorRoundTripsThroughItsName) {
+  expect_round_trips(SpanKind::kInvokerDown, &span_kind_from_string);
+  expect_round_trips(InstantKind::kForecastPrewarm, &instant_kind_from_string);
+  EXPECT_EQ(to_string(SpanKind::kQueueWait), "queue_wait");
+  EXPECT_EQ(to_string(InstantKind::kForcedMinDispatch), "forced_min_dispatch");
 }
 
 }  // namespace
