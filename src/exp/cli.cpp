@@ -383,9 +383,9 @@ CliOptions parse_cli(std::span<const char* const> args) {
     }
   }
 
-  // Cross-flag validation here (not only in run_scenario): replicas run on
-  // worker threads, where a late throw aborts instead of reaching main's
-  // config-error handler.
+  // Cross-flag validation here (not only in run_scenario): a configuration
+  // error exits 2 before anything runs, whereas run_scenario's throw inside
+  // a --sweep cell is reported as that cell's failure, exit 1.
   if (!opts.scenario.fault.spot.empty() && !opts.scenario.elastic.enabled()) {
     throw std::invalid_argument(
         "spot: clauses need --elastic (a static fleet has no lifecycle to "
