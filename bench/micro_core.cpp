@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the scheduling core: ESG_1Q at several
 // group sizes and K values, Orion's search per built-in app, Aquatope's
 // offline training, dominator-tree construction, SLO distribution,
-// placement, profile lookup, and raw simulator event throughput.
+// placement, profile lookup, raw simulator event throughput, the three
+// trace sinks and the offline trace reader.
 //
 // The custom main also writes the rows as a BENCH_*.json-shaped baseline
 // (argv[1] after benchmark flags, default BENCH_micro_core.json) so
@@ -11,6 +12,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <memory>
+#include <random>
+#include <streambuf>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,6 +28,9 @@
 #include "core/dominator.hpp"
 #include "core/esg_1q.hpp"
 #include "core/slo_distribution.hpp"
+#include "obs/analysis/dataset.hpp"
+#include "obs/analysis/trace_reader.hpp"
+#include "obs/sinks.hpp"
 #include "platform/scheduler.hpp"
 #include "profile/function_spec.hpp"
 #include "sim/simulator.hpp"
@@ -172,6 +181,139 @@ void BM_SimulatorThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SimulatorThroughput)->Unit(benchmark::kMicrosecond);
+
+/// A fixed record stream shaped like a traced run: per request a request
+/// span, a queue-wait and a stage span per stage, a dispatch instant and
+/// four counter samples, at times with fractions of a microsecond.
+struct RecordStream {
+  std::vector<obs::Span> spans;
+  std::vector<obs::Instant> instants;
+  std::vector<obs::CounterSample> counters;
+
+  [[nodiscard]] std::int64_t records() const {
+    return static_cast<std::int64_t>(spans.size() + instants.size() +
+                                     counters.size());
+  }
+};
+
+const RecordStream& record_stream() {
+  static const RecordStream stream = [] {
+    RecordStream s;
+    std::mt19937_64 rng(7);
+    std::uniform_real_distribution<double> ms(0.1, 50.0);
+    double now = 0.0;
+    for (std::uint32_t req = 0; req < 2000; ++req) {
+      now += ms(rng);
+      const obs::Track track = obs::request_track(RequestId(req));
+      double t = now;
+      for (int stage = 0; stage < 3; ++stage) {
+        const double wait = ms(rng);
+        const double run = ms(rng);
+        const std::string index = std::to_string(stage);
+        s.spans.push_back({obs::SpanKind::kQueueWait, "wait " + index, track,
+                           t, t + wait, {{"stage", index}}});
+        s.spans.push_back({obs::SpanKind::kStage, "stage " + index, track,
+                           t + wait, t + wait + run,
+                           {{"stage", index}, {"batch", "4"}}});
+        t += wait + run;
+      }
+      s.spans.push_back({obs::SpanKind::kRequest,
+                         "req " + std::to_string(req) + " (app 2)", track, now,
+                         t, {{"app", "2"}, {"slo_ms", "1161.600000"}}});
+      s.instants.push_back({obs::InstantKind::kDispatch, "dispatch",
+                            obs::controller_track(), now,
+                            {{"batch", "4"}, {"vcpus", "2"}, {"vgpus", "1"}}});
+      for (const char* gauge :
+           {"used_vcpus", "used_vgpus", "warm_containers", "queued_jobs"}) {
+        s.counters.push_back({gauge, obs::invoker_track(InvokerId(req % 8), 0),
+                              now, ms(rng)});
+      }
+    }
+    return s;
+  }();
+  return stream;
+}
+
+void feed(obs::TraceSink& sink) {
+  const RecordStream& s = record_stream();
+  for (const obs::Span& span : s.spans) sink.on_span(span);
+  for (const obs::Instant& instant : s.instants) sink.on_instant(instant);
+  for (const obs::CounterSample& sample : s.counters) sink.on_counter(sample);
+}
+
+/// Takes a sink's bytes and drops them, so the rows time formatting only.
+class DroppingBuf final : public std::streambuf {
+ public:
+  std::int64_t bytes = 0;
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes += n;
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    ++bytes;
+    return c;
+  }
+};
+
+void BM_ChromeTraceSink(benchmark::State& state) {
+  for (auto _ : state) {
+    DroppingBuf buf;
+    std::ostream out(&buf);
+    {
+      obs::ChromeTraceSink sink(out);
+      feed(sink);
+    }
+    benchmark::DoNotOptimize(buf.bytes);
+  }
+  state.SetItemsProcessed(state.iterations() * record_stream().records());
+}
+BENCHMARK(BM_ChromeTraceSink)->Unit(benchmark::kMillisecond);
+
+void BM_JsonlStatsSink(benchmark::State& state) {
+  for (auto _ : state) {
+    DroppingBuf buf;
+    std::ostream out(&buf);
+    obs::JsonlStatsSink sink(out);
+    feed(sink);
+    benchmark::DoNotOptimize(buf.bytes);
+  }
+  state.SetItemsProcessed(state.iterations() * record_stream().records());
+}
+BENCHMARK(BM_JsonlStatsSink)->Unit(benchmark::kMillisecond);
+
+void BM_AnalysisSink(benchmark::State& state) {
+  for (auto _ : state) {
+    obs::analysis::AnalysisSink sink;
+    feed(sink);
+    benchmark::DoNotOptimize(sink.dataset().spans.data());
+  }
+  state.SetItemsProcessed(state.iterations() * record_stream().records());
+}
+BENCHMARK(BM_AnalysisSink)->Unit(benchmark::kMillisecond);
+
+/// esg_report's read of the stream's trace.json, from a file it writes
+/// once into the temporary directory.
+void BM_ReadChromeTrace(benchmark::State& state) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "esg_bench_micro_trace.json";
+  {
+    obs::ChromeTraceSink sink(std::make_unique<std::ofstream>(path));
+    feed(sink);
+  }
+  for (auto _ : state) {
+    const obs::analysis::TraceDataset dataset =
+        obs::analysis::read_chrome_trace_file(path.string());
+    benchmark::DoNotOptimize(dataset.spans.data());
+  }
+  state.SetItemsProcessed(state.iterations() * record_stream().records());
+  state.SetBytesProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(std::filesystem::file_size(path)));
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_ReadChromeTrace)->Unit(benchmark::kMillisecond);
 
 /// Console reporter that additionally collects per-benchmark rows for the
 /// JSON baseline. Aggregate and errored runs are skipped; times are
