@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -106,7 +105,8 @@ bool Reader::next() {
 
 std::string Reader::key() {
   if (peek() != '"') fail("expected a member key");
-  std::string out = string();
+  std::string out;
+  string(out);
   if (!levels_[depth_ - 1].add_key(out)) {
     fail("duplicate object key '" + out + "'");
   }
@@ -133,7 +133,7 @@ Value Reader::value() {
       break;
     case '"':
       out.kind = Value::Kind::kString;
-      out.text = string();
+      string(out.text);
       break;
     case 't':
       literal("true");
@@ -147,10 +147,57 @@ Value Reader::value() {
     case 'n':
       literal("null");
       break;
-    default:
-      number(out);
+    default: {
+      const std::size_t start = pos_;
+      out.kind = Value::Kind::kNumber;
+      out.number = number();
+      out.text.assign(text_.substr(start, pos_ - start));
+    }
   }
   return out;
+}
+
+Value::Kind Reader::scalar(std::string& text, double& number) {
+  text.clear();
+  number = 0.0;
+  switch (const char c = peek()) {
+    case '[':
+    case '{':
+      skip();
+      return c == '[' ? Value::Kind::kArray : Value::Kind::kObject;
+    case '"':
+      string(text);
+      return Value::Kind::kString;
+    case 't':
+      literal("true");
+      return Value::Kind::kBool;
+    case 'f':
+      literal("false");
+      return Value::Kind::kBool;
+    case 'n':
+      literal("null");
+      return Value::Kind::kNull;
+    default: {
+      const std::size_t start = pos_;
+      number = this->number();
+      text.assign(text_.substr(start, pos_ - start));
+      return Value::Kind::kNumber;
+    }
+  }
+}
+
+void Reader::skip() {
+  const char c = peek();
+  if (c != '[' && c != '{') {
+    double number = 0.0;
+    (void)scalar(skipped_, number);
+    return;
+  }
+  enter(c);
+  while (next()) {
+    if (c == '{') (void)key();
+    skip();
+  }
 }
 
 void Reader::finish() {
@@ -164,7 +211,7 @@ void Reader::literal(std::string_view word) {
   pos_ += word.size();
 }
 
-void Reader::number(Value& out) {
+double Reader::number() {
   const std::size_t start = pos_;
   const auto at = [&](char c) {
     return pos_ < text_.size() && text_[pos_] == c;
@@ -193,13 +240,21 @@ void Reader::number(Value& out) {
     if (at('+') || at('-')) ++pos_;
     digits();
   }
-  out.kind = Value::Kind::kNumber;
-  out.text.assign(text_.substr(start, pos_ - start));
-  out.number = std::strtod(out.text.c_str(), nullptr);
-  if (!std::isfinite(out.number)) {
-    pos_ = start;
-    fail("number '" + out.text + "' is out of range");
+  const std::string_view token = text_.substr(start, pos_ - start);
+  double value = 0.0;
+  const auto [stop, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), value);
+  (void)stop;  // the grammar above admits only tokens from_chars reads whole
+  if (ec == std::errc::result_out_of_range) {
+    // from_chars leaves `value` alone here; strtod rounds an underflow to
+    // a signed zero and an overflow to an infinity.
+    value = std::strtod(std::string(token).c_str(), nullptr);
   }
+  if (!std::isfinite(value)) {
+    pos_ = start;
+    fail("number '" + std::string(token) + "' is out of range");
+  }
+  return value;
 }
 
 unsigned Reader::hex4() {
@@ -214,9 +269,9 @@ unsigned Reader::hex4() {
   return code;
 }
 
-std::string Reader::string() {
+void Reader::string(std::string& out) {
   ++pos_;  // the opening quote, which the caller has peeked
-  std::string out;
+  out.clear();
   for (;;) {
     const std::size_t run = pos_;
     while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\' &&
@@ -228,7 +283,7 @@ std::string Reader::string() {
     const char c = text_[pos_];
     if (c == '"') {
       ++pos_;
-      return out;
+      return;
     }
     if (c != '\\') fail("control byte in a string");
     if (++pos_ == text_.size()) fail("unterminated string");
@@ -271,24 +326,32 @@ Value parse(std::string_view text, std::string_view label) {
 std::string escape(std::string_view raw) {
   std::string out;
   out.reserve(raw.size());
-  for (const char c : raw) {
+  escape_to(out, raw);
+  return out;
+}
+
+void escape_to(std::string& out, std::string_view raw) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the bytes copied as they are
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const auto c = static_cast<unsigned char>(raw[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(raw.substr(run, i - run));
+    run = i + 1;
     if (c == '"' || c == '\\') {
       out += '\\';
-      out += c;
+      out += static_cast<char>(c);
     } else if (c == '\n') {
       out += "\\n";
     } else if (c == '\t') {
       out += "\\t";
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
     } else {
-      out += c;
+      out += "\\u00";
+      out += kHex[c >> 4];
+      out += kHex[c & 0xf];
     }
   }
-  return out;
+  out.append(raw.substr(run));
 }
 
 }  // namespace esg::json

@@ -12,9 +12,13 @@
 //
 //   trace_reader: duplicate object key 'ph' at line 3, byte 118
 //
-// A number is checked once (the whole token, read by strtod to a finite
-// double) and keeps its source text; its value is that strtod result, the
-// conversion the determinism contract in obs/analysis/dataset.hpp assumes.
+// A number is checked once: the whole token must follow the grammar and
+// read to a finite double. It keeps its source text, and its value is
+// std::from_chars of that text, the correctly rounded conversion the
+// determinism contract in obs/analysis/dataset.hpp assumes. A token that
+// from_chars finds out of range is read by strtod instead, so an underflow
+// reads as a signed zero ("1e-400" as 0, "-1e-400" as -0) and an overflow
+// is an error.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +41,7 @@ struct Value {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
   Kind kind = Kind::kNull;
   bool boolean = false;         ///< kBool
-  double number = 0.0;          ///< kNumber: strtod of `text`
+  double number = 0.0;          ///< kNumber: the value of `text`
   std::string text;             ///< kString: decoded; kNumber: source text
   std::vector<Value> items;     ///< kArray, in document order
   std::vector<Member> members;  ///< kObject, in document order, unique keys
@@ -72,6 +76,14 @@ class Reader {
   [[nodiscard]] std::string key();
   /// The whole value at the cursor.
   [[nodiscard]] Value value();
+  /// The value at the cursor, checked as value() checks it, but kept only
+  /// as the Value's `text` and `number`, in storage the caller reuses: a
+  /// string's decoded bytes, or a number's source text and value. Other
+  /// values leave `text` empty and `number` 0; arrays and objects are not
+  /// built. Returns the value's kind.
+  Value::Kind scalar(std::string& text, double& number);
+  /// Checks the value at the cursor as value() does and drops it.
+  void skip();
   /// Requires that nothing but whitespace is left.
   void finish();
   /// Throws std::invalid_argument: "<label>: <what> at line L, byte B".
@@ -88,8 +100,10 @@ class Reader {
     [[nodiscard]] bool add_key(const std::string& key);
   };
 
-  [[nodiscard]] std::string string();
-  void number(Value& out);
+  /// Decodes the string at the cursor into `out`, replacing its bytes.
+  void string(std::string& out);
+  /// The value of the number token at the cursor.
+  [[nodiscard]] double number();
   void literal(std::string_view word);
   [[nodiscard]] unsigned hex4();
 
@@ -98,6 +112,7 @@ class Reader {
   std::size_t pos_ = 0;
   std::vector<Level> levels_;
   std::size_t depth_ = 0;
+  std::string skipped_;  ///< skip()'s strings, decoded only to check them
 };
 
 /// The whole of `text` as one document. Throws std::invalid_argument.
@@ -107,5 +122,8 @@ class Reader {
 /// tab as \n and \t, other bytes below 0x20 as \u00XX; every other byte is
 /// copied, so UTF-8 passes through.
 [[nodiscard]] std::string escape(std::string_view raw);
+/// Appends escape(raw) to `out`; runs that need no escape are appended in
+/// place.
+void escape_to(std::string& out, std::string_view raw);
 
 }  // namespace esg::json

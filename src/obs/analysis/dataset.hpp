@@ -3,7 +3,10 @@
 //
 // Determinism contract: every timestamp in a TraceDataset is *quantised to
 // trace precision* — the exact double that results from serializing the time
-// through ChromeTraceSink's fixed-precision formatter and parsing it back.
+// through ChromeTraceSink's fixed-precision formatter (std::to_chars, fixed
+// precision 3) and parsing it back (std::from_chars, which common/json
+// falls back from to strtod only for a token out of range; no fixed-3
+// spelling of a finite double is).
 // The offline path (trace_reader over a saved trace.json) performs that
 // round-trip physically; AnalysisSink performs it arithmetically on the live
 // events. Both paths therefore hand the passes bit-identical inputs, which
@@ -20,7 +23,9 @@
 namespace esg::obs::analysis {
 
 /// Rounds a simulated-ms time to trace precision: the value a reader obtains
-/// from the "%.3f"-formatted microsecond field of the serialized trace.
+/// from the microsecond field of the serialized trace, which the sinks spell
+/// with std::to_chars in fixed precision 3 (as "%.3f" would) and the reader
+/// reads with std::from_chars.
 [[nodiscard]] TimeMs quantize_ms(TimeMs ms);
 
 struct TraceDataset {

@@ -1,39 +1,41 @@
 #include "obs/sinks.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 
 #include "common/json.hpp"
+#include "obs/trace_numbers.hpp"
 
 namespace esg::obs {
 
 namespace {
 
-/// Fixed-precision microsecond timestamp (Chrome traces use µs).
-std::string format_us(TimeMs ms) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f", ms * 1000.0);
-  return buf;
+void append_fixed3(std::string& out, double v) {
+  char buf[kFixed3Chars];
+  out.append(buf, format_fixed3(buf, v));
 }
 
-std::string format_value(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+void append_general6(std::string& out, double v) {
+  char buf[kGeneral6Chars];
+  out.append(buf, format_general6(buf, v));
 }
 
-std::string render_args(const ArgList& args) {
-  std::string out = "{";
+void append_uint(std::string& out, std::uint32_t v) {
+  char buf[10];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+void append_args(std::string& out, const ArgList& args) {
+  out += '{';
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (i > 0) out += ',';
     out += '"';
-    out += json_escape(args[i].first);
+    json::escape_to(out, args[i].first);
     out += "\":\"";
-    out += json_escape(args[i].second);
+    json::escape_to(out, args[i].second);
     out += '"';
   }
   out += '}';
-  return out;
 }
 
 }  // namespace
@@ -63,55 +65,87 @@ ChromeTraceSink::ChromeTraceSink(std::unique_ptr<std::ostream> out)
 
 ChromeTraceSink::~ChromeTraceSink() { flush(); }
 
-void ChromeTraceSink::emit(const std::string& json) {
+void ChromeTraceSink::start_line(std::string_view name) {
+  line_.assign(",\n{\"name\":\"");
+  json::escape_to(line_, name);
+}
+
+void ChromeTraceSink::emit() {
   if (closed_) return;
-  if (!first_) out_ << ",\n";
+  // The first event goes without the ",\n" its line starts with.
+  const std::size_t skip = first_ ? 2 : 0;
   first_ = false;
-  out_ << json;
+  out_.write(line_.data() + skip,
+             static_cast<std::streamsize>(line_.size() - skip));
 }
 
 void ChromeTraceSink::on_span(const Span& span) {
-  std::string line = "{\"name\":\"" + json_escape(span.name) + "\",\"cat\":\"" +
-                     std::string(to_string(span.kind)) +
-                     "\",\"ph\":\"X\",\"ts\":" + format_us(span.start_ms) +
-                     ",\"dur\":" + format_us(span.end_ms - span.start_ms) +
-                     ",\"pid\":" + std::to_string(span.track.pid) +
-                     ",\"tid\":" + std::to_string(span.track.tid) +
-                     ",\"args\":" + render_args(span.args) + "}";
-  emit(line);
+  start_line(span.name);
+  line_ += "\",\"cat\":\"";
+  line_ += to_string(span.kind);
+  line_ += "\",\"ph\":\"X\",\"ts\":";
+  append_fixed3(line_, span.start_ms * 1000.0);
+  line_ += ",\"dur\":";
+  append_fixed3(line_, (span.end_ms - span.start_ms) * 1000.0);
+  line_ += ",\"pid\":";
+  append_uint(line_, span.track.pid);
+  line_ += ",\"tid\":";
+  append_uint(line_, span.track.tid);
+  line_ += ",\"args\":";
+  append_args(line_, span.args);
+  line_ += '}';
+  emit();
 }
 
 void ChromeTraceSink::on_instant(const Instant& instant) {
-  std::string line =
-      "{\"name\":\"" + json_escape(instant.name) + "\",\"cat\":\"" +
-      std::string(to_string(instant.kind)) +
-      "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" + format_us(instant.at_ms) +
-      ",\"pid\":" + std::to_string(instant.track.pid) +
-      ",\"tid\":" + std::to_string(instant.track.tid) +
-      ",\"args\":" + render_args(instant.args) + "}";
-  emit(line);
+  start_line(instant.name);
+  line_ += "\",\"cat\":\"";
+  line_ += to_string(instant.kind);
+  line_ += "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
+  append_fixed3(line_, instant.at_ms * 1000.0);
+  line_ += ",\"pid\":";
+  append_uint(line_, instant.track.pid);
+  line_ += ",\"tid\":";
+  append_uint(line_, instant.track.tid);
+  line_ += ",\"args\":";
+  append_args(line_, instant.args);
+  line_ += '}';
+  emit();
 }
 
 void ChromeTraceSink::on_counter(const CounterSample& sample) {
-  std::string line = "{\"name\":\"" + json_escape(sample.name) +
-                     "\",\"ph\":\"C\",\"ts\":" + format_us(sample.at_ms) +
-                     ",\"pid\":" + std::to_string(sample.track.pid) +
-                     ",\"tid\":0,\"args\":{\"value\":" +
-                     format_value(sample.value) + "}}";
-  emit(line);
+  start_line(sample.name);
+  line_ += "\",\"ph\":\"C\",\"ts\":";
+  append_fixed3(line_, sample.at_ms * 1000.0);
+  line_ += ",\"pid\":";
+  append_uint(line_, sample.track.pid);
+  line_ += ",\"tid\":0,\"args\":{\"value\":";
+  append_general6(line_, sample.value);
+  line_ += "}}";
+  emit();
 }
 
 void ChromeTraceSink::on_process_name(std::uint32_t pid,
                                       std::string_view name) {
-  emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-       std::to_string(pid) + ",\"args\":{\"name\":\"" + json_escape(name) +
-       "\"}}");
+  start_line("process_name");
+  line_ += "\",\"ph\":\"M\",\"pid\":";
+  append_uint(line_, pid);
+  line_ += ",\"args\":{\"name\":\"";
+  json::escape_to(line_, name);
+  line_ += "\"}}";
+  emit();
 }
 
 void ChromeTraceSink::on_thread_name(Track track, std::string_view name) {
-  emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
-       std::to_string(track.pid) + ",\"tid\":" + std::to_string(track.tid) +
-       ",\"args\":{\"name\":\"" + json_escape(name) + "\"}}");
+  start_line("thread_name");
+  line_ += "\",\"ph\":\"M\",\"pid\":";
+  append_uint(line_, track.pid);
+  line_ += ",\"tid\":";
+  append_uint(line_, track.tid);
+  line_ += ",\"args\":{\"name\":\"";
+  json::escape_to(line_, name);
+  line_ += "\"}}";
+  emit();
 }
 
 void ChromeTraceSink::flush() {
@@ -127,13 +161,16 @@ JsonlStatsSink::JsonlStatsSink(std::unique_ptr<std::ostream> out)
     : owned_(std::move(out)), out_(*owned_) {}
 
 void JsonlStatsSink::on_counter(const CounterSample& sample) {
-  char ts[64];
-  std::snprintf(ts, sizeof(ts), "%.3f", sample.at_ms);
-  char value[64];
-  std::snprintf(value, sizeof(value), "%.6g", sample.value);
-  out_ << "{\"ts_ms\":" << ts << ",\"pid\":" << sample.track.pid
-       << ",\"name\":\"" << json_escape(sample.name) << "\",\"value\":" << value
-       << "}\n";
+  line_.assign("{\"ts_ms\":");
+  append_fixed3(line_, sample.at_ms);
+  line_ += ",\"pid\":";
+  append_uint(line_, sample.track.pid);
+  line_ += ",\"name\":\"";
+  json::escape_to(line_, sample.name);
+  line_ += "\",\"value\":";
+  append_general6(line_, sample.value);
+  line_ += "}\n";
+  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
 
 }  // namespace esg::obs

@@ -5,8 +5,11 @@
 //  - JsonlStatsSink: one JSON object per line for counter time series,
 //    trivially ingestible by pandas/jq.
 //
-// All output is formatted with fixed-precision snprintf, so two identical
-// runs produce byte-identical files (the determinism tests rely on this).
+// Times are written in fixed precision 3 and counter values in general
+// precision 6 through std::to_chars (obs/trace_numbers.hpp), which spells
+// them exactly as printf's "%.3f" and "%.6g" do, so two identical runs
+// produce byte-identical files (the determinism tests rely on this). Each
+// sink builds a line in one reused buffer and writes it once.
 #pragma once
 
 #include <memory>
@@ -67,10 +70,13 @@ class ChromeTraceSink final : public TraceSink {
  private:
   std::unique_ptr<std::ostream> owned_;
   std::ostream& out_;
+  std::string line_;  ///< the event being written, behind its ",\n"
   bool first_ = true;
   bool closed_ = false;
 
-  void emit(const std::string& json);
+  /// Starts line_ with the separator and the event's escaped name.
+  void start_line(std::string_view name);
+  void emit();
 };
 
 /// Counter samples as JSON Lines: {"ts_ms":..,"pid":..,"name":"..","value":..}
@@ -86,6 +92,7 @@ class JsonlStatsSink final : public TraceSink {
  private:
   std::unique_ptr<std::ostream> owned_;
   std::ostream& out_;
+  std::string line_;
 };
 
 /// Escapes a string for embedding inside a JSON string literal.

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -71,6 +73,52 @@ TEST(Json, ReadsLiteralsAndNumbers) {
   EXPECT_EQ(parse("0", "doc").number, 0.0);
   EXPECT_EQ(parse("1E-2", "doc").number, 0.01);
   EXPECT_EQ(parse("1e-400", "doc").number, 0.0);  // underflow is finite
+  // An underflow keeps its sign, a denormal reads as itself, and a token
+  // that rounds to 0 reads as 0 through strtod.
+  const double minus_zero = parse("-1e-400", "doc").number;
+  EXPECT_EQ(minus_zero, 0.0);
+  EXPECT_TRUE(std::signbit(minus_zero));
+  EXPECT_EQ(parse("4.9e-324", "doc").number,
+            std::numeric_limits<double>::denorm_min());
+  const double rounded_to_zero = parse("2e-324", "doc").number;
+  EXPECT_EQ(rounded_to_zero, 0.0);
+  EXPECT_FALSE(std::signbit(rounded_to_zero));
+}
+
+TEST(Json, ScalarAndSkipCheckWhatValueChecks) {
+  const auto first_of = [](std::string_view doc, int how) {
+    return error_of([&] {
+      Reader reader(doc, "doc");
+      reader.enter('[');
+      if (!reader.next()) return;
+      std::string text;
+      double number = 0.0;
+      if (how == 0) (void)reader.value();
+      if (how == 1) (void)reader.scalar(text, number);
+      if (how == 2) reader.skip();
+      reader.finish();
+    });
+  };
+  const std::vector<std::string> docs = {
+      R"(["a\u00e9"])", "[-12.5e1]", "[true]", "[null]", R"([{"a":[1,{}]}])",
+      R"([{"a":1,"a":2}])", R"(["\x"])", "[1e400]", "[01]", "[tru]",
+      R"([[1,2,{"k":"v"}]])", "[" + std::string(200, '[')};
+  for (const std::string& doc : docs) {
+    const std::string want = first_of(doc, 0);
+    EXPECT_EQ(first_of(doc, 1), want) << doc;
+    EXPECT_EQ(first_of(doc, 2), want) << doc;
+  }
+  // scalar keeps what value() would hold as text and number.
+  for (const char* doc : {R"("a\u00e9")", "-12.50e1", "true", "null",
+                          R"({"a":"b"})", "[3]"}) {
+    const Value v = parse(doc, "doc");
+    Reader reader(doc, "doc");
+    std::string text = "stale";
+    double number = 9.0;
+    EXPECT_EQ(reader.scalar(text, number), v.kind) << doc;
+    EXPECT_EQ(text, v.text) << doc;
+    EXPECT_EQ(number, v.number) << doc;
+  }
 }
 
 TEST(Json, KeepsMembersInDocumentOrder) {
