@@ -117,7 +117,7 @@ std::string Reader::key() {
 
 Value Reader::value() {
   Value out;
-  switch (peek()) {
+  switch (const char c = peek()) {
     case '[':
       out.kind = Value::Kind::kArray;
       enter('[');
@@ -131,28 +131,9 @@ Value Reader::value() {
         out.members.emplace_back(std::move(name), value());
       }
       break;
-    case '"':
-      out.kind = Value::Kind::kString;
-      string(out.text);
-      break;
-    case 't':
-      literal("true");
-      out.kind = Value::Kind::kBool;
-      out.boolean = true;
-      break;
-    case 'f':
-      literal("false");
-      out.kind = Value::Kind::kBool;
-      break;
-    case 'n':
-      literal("null");
-      break;
-    default: {
-      const std::size_t start = pos_;
-      out.kind = Value::Kind::kNumber;
-      out.number = number();
-      out.text.assign(text_.substr(start, pos_ - start));
-    }
+    default:
+      out.kind = scalar(out.text, out.number);
+      out.boolean = c == 't';  // scalar() read the literal true
   }
   return out;
 }
