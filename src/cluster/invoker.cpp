@@ -167,9 +167,12 @@ void Invoker::retire(TimeMs now) {
 
 void Invoker::flush_warm_spans(TimeMs now) const {
   if (!warm_callback_) return;
+  // Sorted function order, as in release_warm_pool: the spans go to the
+  // trace.
   std::vector<FunctionId> functions;
   functions.reserve(warm_.size());
   for (const auto& [fn, _] : warm_) functions.push_back(fn);
+  std::sort(functions.begin(), functions.end());
   for (FunctionId fn : functions) {
     const auto it = prune_expired(fn, now);  // reports expiries first
     if (it == warm_.end()) continue;
@@ -182,9 +185,11 @@ void Invoker::flush_warm_spans(TimeMs now) const {
 std::size_t Invoker::total_warm(TimeMs now) const {
   std::size_t total = 0;
   // Collect keys first: prune_expired may erase map entries while iterating.
+  // Sorted, since the expiries it reports go to the trace.
   std::vector<FunctionId> functions;
   functions.reserve(warm_.size());
   for (const auto& [fn, _] : warm_) functions.push_back(fn);
+  std::sort(functions.begin(), functions.end());
   for (FunctionId fn : functions) total += warm_count(fn, now);
   return total;
 }

@@ -25,7 +25,9 @@
 namespace esg::exp {
 namespace {
 
-constexpr std::uint64_t kOutcomeDigest = 0x316103f89072a10aull;
+// Re-pinned when the end-of-run open keep-alive spans began to reach the
+// trace in sorted function order (was 0x316103f89072a10a, hash order).
+constexpr std::uint64_t kOutcomeDigest = 0x6851168f6d4041faull;
 
 struct Row {
   std::string name;
